@@ -227,67 +227,34 @@ def pointwise_det_log_bound(spec, window, n):
     return base + math.lgamma(n + 1.0) + 2.0 * n * math.log(sup_rho)
 
 
-def tail_log_bound(spec, window, n):
-    """Certified log bound for P(count in window >= n).
+def tail_log_bound_function(spec, window):
+    """Callable n -> certified log bound for P(count in window >= n).
 
     The factorial-moment identity gives P(# >= n) <= (1/n!) int det, and the
     n! cancels against the integral bound's n!; the density factor
     contributes (sup rho)^{2n}.  For 2x2-block kernels the Pfaffian variant
-    sqrt((2n)!)/n! replaces the cancellation.
-    """
-    n = int(n)
-    if n <= 0:
-        return 0.0
-    ml = derivative_max_bounds(spec, window, n)
-    base = (n * (n + 1) / 2.0) * math.log(window.length) + _log_ml_sum(ml, n)
-    if getattr(spec, "block_size", 1) == 2:
-        return base + 0.5 * math.lgamma(2 * n + 1.0) - math.lgamma(n + 1.0)
-    sup_rho = _sup_density(spec, window)
-    return base + 2.0 * n * math.log(sup_rho)
-
-
-# ---------------------------------------------------------------------------
-# the constant B and the t log t rewrite
-# ---------------------------------------------------------------------------
-
-def _tail_chain(spec, window, n_max):
-    env = _resolve_envelope(spec, window)
-    sigma = env.order
-    log_len = math.log(window.length)
-    log_rho = math.log(_sup_density(spec, window))
-    block = getattr(spec, "block_size", 1) == 2
-    cum = 0.0
-    tails = [0.0]
-    for n in range(1, n_max + 1):
-        cum += log_cauchy_coefficient_bound(env, n - 1)
-        base = (n * (n + 1) / 2.0) * log_len + cum
-        if block:
-            base += 0.5 * math.lgamma(2 * n + 1.0) - math.lgamma(n + 1.0)
-        else:
-            base += 2.0 * n * log_rho
-        tails.append(base)
-    return sigma, tails
-
-
-def tail_log_bound_function(spec, window):
-    """O(1)-amortized callable n -> tail_log_bound(spec, window, n).
-
-    The cumulative sum over Cauchy coefficient bounds is extended lazily, so
-    sweeping n into the tens of thousands (moment-bracket tails) stays cheap.
+    sqrt((2n)!)/n! replaces the cancellation.  This is the only place the
+    formula lives: the running sum over log Cauchy coefficient bounds is
+    extended lazily and kept in the closure, so sweeping n = 1..N costs N
+    Cauchy bounds in total, however far N runs (moment-bracket tails reach
+    the tens of thousands).  Values are 0.0 for n <= 0.
     """
     env = _resolve_envelope(spec, window)
     log_len = math.log(window.length)
     block = getattr(spec, "block_size", 1) == 2
     log_rho = 0.0 if block else math.log(_sup_density(spec, window))
     tails = [0.0]
-    cum = [0.0]
+    cum = 0.0
 
     def fn(n):
+        nonlocal cum
         n = int(n)
+        if n <= 0:
+            return 0.0
         while len(tails) <= n:
             m = len(tails)
-            cum.append(cum[-1] + log_cauchy_coefficient_bound(env, m - 1))
-            base = (m * (m + 1) / 2.0) * log_len + cum[-1]
+            cum += log_cauchy_coefficient_bound(env, m - 1)
+            base = (m * (m + 1) / 2.0) * log_len + cum
             if block:
                 base += 0.5 * math.lgamma(2 * m + 1.0) - math.lgamma(m + 1.0)
             else:
@@ -298,19 +265,23 @@ def tail_log_bound_function(spec, window):
     return fn
 
 
-def b_constant(spec, window, n_max=64):
-    """Smallest certified B with P(# >= n) <= exp(B n^2 - n^2 log(n)/(2 sigma)).
+def tail_log_bound(spec, window, n):
+    """Certified log bound for P(count in window >= n): the value at n of
+    the tail_log_bound_function chain, bit for bit.  Costs n Cauchy bounds;
+    sweeps over n should call tail_log_bound_function once instead."""
+    return tail_log_bound_function(spec, window)(n)
 
-    B is the running maximum of s_n = (tail_log_bound(n) + n^2 log(n)/(2
-    sigma))/n^2 over n <= n_max; the sequence converges and turns strictly
-    decreasing, and the certificate checks that the final quarter of the
-    range is already past the turning point so the maximum is global.
-    """
-    n_max = int(n_max)
+
+# ---------------------------------------------------------------------------
+# the constant B and the t log t rewrite
+# ---------------------------------------------------------------------------
+
+def _b_from_tails(sigma, tails):
+    """B and its certificate from the chain values tails[n-1], n = 1..n_max."""
+    n_max = len(tails)
     if n_max < 8:
         raise ValueError("need n_max >= 8")
-    sigma, tails = _tail_chain(spec, window, n_max)
-    s = [(tails[n] + (n * n / (2.0 * sigma)) * math.log(n)) / (n * n)
+    s = [(tails[n - 1] + (n * n / (2.0 * sigma)) * math.log(n)) / (n * n)
          for n in range(1, n_max + 1)]
     k = max(4, n_max // 4)
     tail_part = s[-k:]
@@ -320,6 +291,19 @@ def b_constant(spec, window, n_max=64):
     if max(s) == max(tail_part) and s[-1] == max(tail_part):
         raise CertificateError(f"maximum still at the boundary n_max={n_max}; raise n_max")
     return max(s)
+
+
+def b_constant(spec, window, n_max=64):
+    """Smallest certified B with P(# >= n) <= exp(B n^2 - n^2 log(n)/(2 sigma)).
+
+    B is the running maximum of s_n = (tail_log_bound(n) + n^2 log(n)/(2
+    sigma))/n^2 over n <= n_max; the sequence converges and turns strictly
+    decreasing, and the certificate checks that the final quarter of the
+    range is already past the turning point so the maximum is global.
+    """
+    tail = tail_log_bound_function(spec, window)
+    return _b_from_tails(_resolve_envelope(spec, window).order,
+                         [tail(n) for n in range(1, int(n_max) + 1)])
 
 
 def rewrite_b_tilde(b, sigma):
@@ -365,19 +349,10 @@ def laplace_integral_bound(b_tilde, delta, lam):
     return t0, c1, c2, log_value
 
 
-def exp_moment_log_bound(spec, window, lam, n_max=64):
-    """Certified upper bound for log E exp(lam * count^2).
-
-    Summation by parts gives E = 1 + int_1^inf lam e^{lam(t-1)} P(#^2 >= t) dt;
-    the rewritten tail bound and the Laplace step bound the integral, and the
-    result is log(1 + lam e^{-lam} e^{L(lam)}) evaluated stably.
-    """
+def _exp_moment_log_bound(b_tilde, delta, lam):
     lam = float(lam)
     if lam <= 0:
         return 0.0
-    env = _resolve_envelope(spec, window)
-    b = b_constant(spec, window, n_max)
-    b_tilde, delta = rewrite_b_tilde(b, env.order)
     _, _, _, log_int = laplace_integral_bound(b_tilde, delta, lam)
     inner = math.log(lam) - lam + log_int
     if inner > 700.0:
@@ -385,42 +360,61 @@ def exp_moment_log_bound(spec, window, lam, n_max=64):
     return math.log1p(math.exp(inner))
 
 
-def c_constant(spec, window, lambda_max, exponent_scale=4.0, grid_points=200,
-               n_max=64):
-    """Smallest c (binary search, relative tolerance 1e-6) with
-    exp_moment_log_bound(lam) <= c (exp(exponent_scale * sigma * lam) - 1)
-    on the uniform grid lam in {lambda_max/grid_points .. lambda_max}.
+def exp_moment_log_bound(spec, window, lam, n_max=64):
+    """Certified upper bound for log E exp(lam * count^2).
 
-    exponent_scale = 4 is the rigorous exponent from delta = 1/(4 sigma);
-    exponent_scale = 1 fits the single-sigma curve for side-by-side reporting.
-    The certificate holds on the grid range; the ratio diverges like
-    e^{L(0)}/lam as lam -> 0+, so no finite c covers arbitrarily small lam.
+    Summation by parts gives E = 1 + int_1^inf lam e^{lam(t-1)} P(#^2 >= t) dt;
+    the rewritten tail bound and the Laplace step bound the integral, and the
+    result is log(1 + lam e^{-lam} e^{L(lam)}) evaluated stably.
     """
+    if float(lam) <= 0:
+        return 0.0
+    b_tilde, delta = rewrite_b_tilde(b_constant(spec, window, n_max),
+                                     _resolve_envelope(spec, window).order)
+    return _exp_moment_log_bound(b_tilde, delta, lam)
+
+
+def _c_from_b(b, sigma, lambda_max, exponent_scale, grid_points):
     lambda_max = float(lambda_max)
     if lambda_max <= 1.0:
         raise ValueError("need lambda_max > 1")
-    env = _resolve_envelope(spec, window)
-    sigma = env.order
+    b_tilde, delta = rewrite_b_tilde(b, sigma)
     lams = [lambda_max * (k + 1) / grid_points for k in range(grid_points)]
-    bound_logs = [exp_moment_log_bound(spec, window, lam, n_max) for lam in lams]
+    bound_logs = [_exp_moment_log_bound(b_tilde, delta, lam) for lam in lams]
     growth = [math.expm1(min(700.0, exponent_scale * sigma * lam)) for lam in lams]
 
     def dominates(c):
         return all(bl <= c * g for bl, g in zip(bound_logs, growth))
 
-    hi = 1.0
-    while not dominates(hi):
-        hi *= 2.0
-        if hi > 1e300:
-            raise CertificateError("no finite c dominates on the grid")
-    lo = 0.0
-    while hi - lo > 1e-6 * max(1.0, lo):
-        mid = 0.5 * (lo + hi)
-        if dominates(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # the quotients are rounded to nearest, and so are the products c * g:
+    # move by single doubles to the smallest c that dominates in floating point
+    c = max(0.0, max(bl / g for bl, g in zip(bound_logs, growth)))
+    while c > 0.0 and dominates(math.nextafter(c, 0.0)):
+        c = math.nextafter(c, 0.0)
+    while math.isfinite(c) and not dominates(c):
+        c = math.nextafter(c, math.inf)
+    if not math.isfinite(c):
+        raise CertificateError("no finite c dominates on the grid")
+    return c
+
+
+def c_constant(spec, window, lambda_max, exponent_scale=4.0, grid_points=200,
+               n_max=64):
+    """Smallest double c with
+    exp_moment_log_bound(lam) <= c (exp(exponent_scale * sigma * lam) - 1)
+    on the uniform grid lam in {lambda_max/grid_points .. lambda_max}.
+
+    c is the grid maximum of bound/growth in closed form, moved to the
+    smallest double whose products dominate every grid point in floating
+    point; it has no slack on the grid.  exponent_scale = 4 is the rigorous
+    exponent from delta = 1/(4 sigma); exponent_scale = 1 fits the
+    single-sigma curve for side-by-side reporting.  The certificate holds on
+    the grid range; the ratio diverges like e^{L(0)}/lam as lam -> 0+, so no
+    finite c covers arbitrarily small lam.
+    """
+    sigma = _resolve_envelope(spec, window).order
+    return _c_from_b(b_constant(spec, window, n_max), sigma, lambda_max,
+                     exponent_scale, grid_points)
 
 
 def combination_d(psi_at_1, psi_prime_at_0):
@@ -494,19 +488,23 @@ class BoundReport:
 
 
 def build_bound_report(spec, window, n_max=64, lambda_max=3.0):
-    """Assemble every constant for one kernel/window into a BoundReport."""
-    env = growth_envelope(spec, window)
-    sigma = env.order
-    b = b_constant(spec, window, n_max)
+    """Assemble every constant for one kernel/window into a BoundReport.
+
+    One tail chain serves the table, B and, through B, every constant after
+    it, so a report costs n_max Cauchy bounds.
+    """
+    sigma = growth_envelope(spec, window).order
+    tail = tail_log_bound_function(spec, window)
+    table = [(n, tail(n)) for n in range(1, int(n_max) + 1)]
+    b = _b_from_tails(sigma, [lb for _, lb in table])
     b_tilde, delta = rewrite_b_tilde(b, sigma)
     _, c1, c2, _ = laplace_integral_bound(b_tilde, delta, 1.0)
-    c = c_constant(spec, window, lambda_max, exponent_scale=4.0, n_max=n_max)
-    c_sigma = c_constant(spec, window, lambda_max, exponent_scale=1.0, n_max=n_max)
+    c = _c_from_b(b, sigma, lambda_max, 4.0, 200)
+    c_sigma = _c_from_b(b, sigma, lambda_max, 1.0, 200)
     # lemma constant for the normalized exponent curve (Psi(0)=1, Psi(1)=2)
     psi1 = 2.0
     psi_prime0 = (1.0 / delta) / math.expm1(1.0 / delta)
     d = combination_d(psi1, psi_prime0)
-    table = [(n, tail_log_bound(spec, window, n)) for n in range(1, n_max + 1)]
     return BoundReport(
         kernel=getattr(spec, "identifier", "custom"),
         window=(float(window.a), float(window.b)),

@@ -155,24 +155,32 @@ def _round_robin_pairs(n):
 def jacobi_eigh(a, want_vectors=False, tol=1e-14, max_sweeps=50):
     """Eigenvalues (and optionally vectors) of a symmetric matrix by cyclic
     Jacobi sweeps.  Stops when the off-diagonal Frobenius norm drops below
-    tol or after max_sweeps.  The rotation order is a fixed round-robin,
-    so results are bit-reproducible; rotations within one round act on
-    disjoint index pairs and are applied as a single orthogonal similarity.
+    tol; raises ValueError on non-finite input and specfun.ConvergenceError
+    if the norm is still >= tol after max_sweeps.  The rotation order is a
+    fixed round-robin, so results are bit-reproducible; rotations within one
+    round act on disjoint index pairs and are applied as a single orthogonal
+    similarity.
     """
     a = np.array(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("jacobi_eigh needs a finite matrix")
     n = a.shape[0]
     if n == 1:
         return (a.ravel().copy(), np.ones((1, 1))) if want_vectors else a.ravel().copy()
     v = np.eye(n) if want_vectors else None
     rounds = _round_robin_pairs(n)
     skip = tol / (4.0 * n)
-    for _ in range(max_sweeps):
+    for sweep in range(max_sweeps + 1):
         # off-diagonal Frobenius norm, summed directly (the subtraction form
         # ||A||_F^2 - ||diag||^2 cancels catastrophically near convergence)
         hollow = a - np.diag(np.diag(a))
         off = math.sqrt(float(np.sum(hollow * hollow)))
         if off < tol:
             break
+        if sweep == max_sweeps:
+            raise specfun.ConvergenceError(
+                f"jacobi_eigh: off-diagonal norm {off:.3e} >= tol {tol:.1e} "
+                f"after {max_sweeps} sweeps")
         for pairs in rounds:
             ps = np.array([p for p, q in pairs])
             qs = np.array([q for p, q in pairs])
@@ -304,7 +312,9 @@ def exp_moment_sq(c, lam):
 def exp_moment_sq_bracket(c, lam, tail_log_fn=None):
     """Certified bracket (log_lower, log_upper) for log E exp(lam * count^2).
 
-    log_lower is the plain pmf sum over the retained Bernoulli components.
+    log_lower is the log of the plain pmf sum over the retained Bernoulli
+    components; once exp(lam N^2) would overflow it is taken as a
+    max-shifted log-sum-exp, so it stays finite at any lam.
     The upper side adds two rigorous corrections for the truncated spectral
     mass T (the count is retained + J with J an independent Poisson-binomial
     of total mass T over n_truncated components, so the full support is
@@ -318,9 +328,18 @@ def exp_moment_sq_bracket(c, lam, tail_log_fn=None):
       the double-precision spectral noise floor.
     """
     lam = float(lam)
-    s_low = float(np.sum(np.exp(lam * np.arange(c.pmf.size) ** 2.0) * c.pmf))
+    k2 = np.arange(c.pmf.size) ** 2.0
+    if lam * k2[-1] <= 700.0:
+        log_low = math.log(float(np.sum(np.exp(lam * k2) * c.pmf)))
+    else:
+        # exp(lam k^2) would overflow: max-shifted log-sum-exp of
+        # lam k^2 + log pmf_k instead
+        pos = c.pmf > 0.0
+        expo = lam * k2[pos] + np.log(c.pmf[pos])
+        peak = float(np.max(expo))
+        log_low = peak + math.log(float(np.sum(np.exp(expo - peak))))
     big_n = c.pmf.size - 1
-    log_up = math.log(s_low)
+    log_up = log_low
     t = c.truncation_error_bound
     if t > 0.0:
         log_up += t * math.exp(min(700.0, lam * (2 * big_n + 1)))
@@ -339,7 +358,7 @@ def exp_moment_sq_bracket(c, lam, tail_log_fn=None):
         if peak > -math.inf:
             extra = peak + math.log(sum(math.exp(v - peak) for v in terms))
             log_up = float(np.logaddexp(log_up, extra))
-    return math.log(s_low), log_up
+    return log_low, log_up
 
 
 def generating_function(s, z):

@@ -413,6 +413,103 @@ def test_block_kernel_report_with_late_turn():
     assert math.isfinite(rep.c_moment) and rep.c_moment > 0
 
 
+# the five benchmark certification cases at the CLI default lambda_max = 2;
+# constants as float.hex, captured from the per-n tail table code they replace
+CERTIFY_CASES = {
+    "sine": ((0.0, 1.0), 64),
+    "airy": ((-1.0, 0.0), 64),
+    "bessel:s=0.5": ((0.5, 2.0), 64),
+    "sine4": ((0.0, 1.0), 256),
+    "airy4": ((-1.0, 0.0), 2048),
+}
+
+PINNED_CONSTANTS = {
+    "sine": {"B": "0x1.5962944c8cc16p+0", "B_tilde": "0x1.5962944c8cc16p+2",
+             "delta": "0x1.0000000000000p-2", "c1": "0x1.d3e6fb504cdf8p+27",
+             "c2": "-0x1.9fe9ae22c23cbp+24", "d": "0x1.8c0a2c3ad6d18p+6"},
+    "airy": {"B": "0x1.38fa63fa8d292p+0", "B_tilde": "0x1.38fa63fa8d292p+2",
+             "delta": "0x1.5555555555555p-3", "c1": "0x1.636bdbaccec4dp+38",
+             "c2": "-0x1.3bee189609467p+35", "d": "0x1.ef98463e382a9p+8"},
+    "bessel:s=0.5": {"B": "0x1.0582b0cb79822p+0", "B_tilde": "0x1.0582b0cb79822p+2",
+                     "delta": "0x1.0000000000000p-2", "c1": "0x1.3cc15810e98f1p+20",
+                     "c2": "-0x1.1987a2141af2ap+17", "d": "0x1.8c0a2c3ad6d18p+6"},
+    "sine4": {"B": "0x1.cc53f89291340p+0", "B_tilde": "0x1.cc53f89291340p+2",
+              "delta": "0x1.0000000000000p-2", "c1": "0x1.2d23bda8c4216p+38",
+              "c2": "-0x1.0badfde7d9355p+35", "d": "0x1.8c0a2c3ad6d18p+6"},
+    "airy4": {"B": "0x1.55ba63204965ep-1", "B_tilde": "0x1.55ba63204965ep+1",
+              "delta": "0x1.5555555555555p-3", "c1": "0x1.30e07cb4cf1a8p+19",
+              "c2": "-0x1.0ef130fc9a339p+16", "d": "0x1.ef98463e382a9p+8"},
+}
+
+# (c, c_single_sigma) from the former bisection, which stopped within
+# relative 1e-6 above the smallest dominating value
+BISECTION_C = {
+    "sine": ("0x1.4b79700000000p+32", "0x1.7b02e00000000p+36"),
+    "airy": ("0x1.5310c00000000p+42", "0x1.48dff00000000p+51"),
+    "bessel:s=0.5": ("0x1.c0ccb00000000p+24", "0x1.0094300000000p+29"),
+    "sine4": ("0x1.aaaba00000000p+42", "0x1.e7dc000000000p+46"),
+    "airy4": ("0x1.22da300000000p+23", "0x1.1a1b000000000p+32"),
+}
+
+
+def _certify_case(name):
+    (a, b), n_max = CERTIFY_CASES[name]
+    return kernels.make_kernel(name), Interval(a, b), n_max
+
+
+@pytest.fixture(scope="module")
+def certify_reports():
+    return {name: bounds.build_bound_report(*_certify_case(name), lambda_max=2.0)
+            for name in CERTIFY_CASES}
+
+
+@pytest.mark.parametrize("name", ["sine4", "airy4"])
+def test_tail_chain_single_formula(name, certify_reports):
+    spec, win, n_max = _certify_case(name)
+    rows = certify_reports[name].per_n_log_bounds
+    fn = bounds.tail_log_bound_function(spec, win)
+    assert all(fn(n) == lb for n, lb in rows)
+    # tail_log_bound(n) costs n Cauchy bounds; probe a stride of the long table
+    ns = range(1, n_max + 1) if n_max <= 256 else [*range(1, n_max + 1, 31), n_max]
+    assert all(bounds.tail_log_bound(spec, win, n) == rows[n - 1][1] for n in ns)
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_CASES))
+def test_report_constants_pinned(name, certify_reports):
+    rep = certify_reports[name].to_json_dict()
+    assert {key: rep[key].hex() for key in PINNED_CONSTANTS[name]} == PINNED_CONSTANTS[name]
+
+
+def test_bound_report_chain_is_linear(monkeypatch):
+    calls = [0]
+    orig = bounds.log_cauchy_coefficient_bound
+
+    def counted(env, l):
+        calls[0] += 1
+        return orig(env, l)
+
+    monkeypatch.setattr(bounds, "log_cauchy_coefficient_bound", counted)
+    bounds.build_bound_report(kernels.make_kernel("airy4"), Interval(-1.0, 0.0),
+                              n_max=2048, lambda_max=2.0)
+    assert 0 < calls[0] <= 8 * 2048
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_CASES))
+def test_c_closed_form_has_no_grid_slack(name, certify_reports):
+    spec, win, n_max = _certify_case(name)
+    rep = certify_reports[name]
+    lams = [2.0 * (k + 1) / 200 for k in range(200)]
+    bls = [bounds.exp_moment_log_bound(spec, win, lam, n_max) for lam in lams]
+    for c, scale, old in ((rep.c_moment, 4.0, BISECTION_C[name][0]),
+                          (rep.c_single_sigma, 1.0, BISECTION_C[name][1])):
+        growth = [math.expm1(min(700.0, scale * rep.sigma * lam)) for lam in lams]
+        assert all(bl <= c * g for bl, g in zip(bls, growth))
+        below = math.nextafter(c, 0.0)
+        assert not all(bl <= below * g for bl, g in zip(bls, growth))
+        old = float.fromhex(old)
+        assert (1.0 - 1e-6) * old <= c <= old
+
+
 def test_airy_b_over_window_family():
     # uniformity of B over unit windows in a fixed half-line is only probed
     # over a finite family; each member must at least be finite and certified

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from dpptails import exact, kernels
+from dpptails import exact, kernels, specfun
 from dpptails.kernels import Interval
 from dpptails.specfun import gauss_legendre
 
@@ -75,6 +75,24 @@ def test_jacobi_deterministic():
     a = rng.standard_normal((25, 25))
     a = 0.5 * (a + a.T)
     assert np.array_equal(exact.jacobi_eigh(a), exact.jacobi_eigh(a))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_jacobi_rejects_non_finite_input(bad):
+    with pytest.raises(ValueError):
+        exact.jacobi_eigh([[1.0, bad], [bad, 1.0]])
+    with pytest.raises(ValueError):
+        exact.jacobi_eigh([[bad]])
+
+
+def test_jacobi_raises_when_sweeps_run_out():
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((12, 12))
+    a = 0.5 * (a + a.T)
+    with pytest.raises(specfun.ConvergenceError):
+        exact.jacobi_eigh(a, max_sweeps=1)
+    # the same matrix converges well inside the default sweep budget
+    assert np.max(np.abs(np.sort(exact.jacobi_eigh(a)) - np.linalg.eigvalsh(a))) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +218,14 @@ def test_exp_moment_bracket_contains_point_value():
     lo, up = exact.exp_moment_sq_bracket(c, 0.1)
     assert lo <= v <= up
     assert up - lo < 1e-8
+
+
+@pytest.mark.parametrize("lam", [2.0, 50.0])
+def test_exp_moment_bracket_finite_at_large_lambda(lam):
+    c = exact.count_distribution(exact.spectrum(exact.discretize(SINE, Interval(0.0, 1.0), 64)))
+    lo, up = exact.exp_moment_sq_bracket(c, lam)
+    assert math.isfinite(lo) and math.isfinite(up)
+    assert lo <= up
 
 
 # ---------------------------------------------------------------------------
