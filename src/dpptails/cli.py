@@ -135,15 +135,15 @@ def _dominance_rows(cfg):
     d = exact.discretize(spec, window, cfg.order)
     s = exact.spectrum(d)
     c = exact.count_distribution(s)
+    tail_fn = bounds.tail_log_bound_function(spec, window)
     n_rows = []
     for n in range(1, 9):
         ex = exact.tail(c, n)
-        chained = bounds.tail_log_bound(spec, window, n)
+        chained = tail_fn(n)
         theorem = report.b_tail * n * n - (n * n / (2.0 * sigma)) * math.log(n)
         ok = (math.log(max(ex, 1e-300)) <= chained + 1e-9) and (chained <= theorem + 1e-9)
         n_rows.append((n, ex, chained, theorem, ok))
     lam_rows = []
-    tail_fn = bounds.tail_log_bound_function(spec, window)
     for lam in cfg.lambda_grid:
         lo_log, up_log = exact.exp_moment_sq_bracket(c, lam, tail_fn)
         moment_bound = report.c_moment * math.expm1(min(700.0, 4.0 * sigma * lam))

@@ -59,18 +59,9 @@ class PairFunctional:
 
 
 def _eval_grid(evaluator, xs, ys):
-    gx, gy = np.meshgrid(xs, ys, indexing="ij")
-    try:
-        vals = np.asarray(evaluator(gx, gy), dtype=float)
-        if vals.shape != gx.shape:
-            raise TypeError
-        return vals
-    except Exception:
-        out = np.empty_like(gx)
-        for i in range(gx.shape[0]):
-            for j in range(gx.shape[1]):
-                out[i, j] = float(evaluator(gx[i, j], gy[i, j]))
-        return out
+    """q on the grid of arrays xs x ys from one call on broadcast coordinates."""
+    vals = evaluator(xs[:, None], ys[None, :])
+    return np.array(np.broadcast_to(vals, (xs.size, ys.size)), dtype=float)
 
 
 def pair_functional(evaluator, support, grid=64):
@@ -186,23 +177,16 @@ def make_pair_functional(spec_dict):
     raise ValueError(f"unknown q family {fam!r}; known: {sorted(_Q_FAMILIES)}")
 
 
+def _pair_table(q, xs):
+    """q on xs x xs with the diagonal set to zero."""
+    table = _eval_grid(q.evaluator if isinstance(q, PairFunctional) else q, xs, xs)
+    np.fill_diagonal(table, 0.0)
+    return table
+
+
 def additive_functional(config, q):
     """S_q = sum over ordered pairs of q; the diagonal contributes zero."""
-    pts = np.asarray(list(config), dtype=float)
-    n = pts.size
-    if n < 2:
-        return 0.0
-    ev = q.evaluator if isinstance(q, PairFunctional) else q
-    gx, gy = np.meshgrid(pts, pts, indexing="ij")
-    try:
-        vals = np.asarray(ev(gx, gy), dtype=float)
-        if vals.shape != (n, n):
-            raise TypeError
-    except Exception:
-        vals = np.array([[float(ev(gx[i, j], gy[i, j])) for j in range(n)]
-                         for i in range(n)])
-    np.fill_diagonal(vals, 0.0)
-    return float(np.sum(vals))
+    return float(np.sum(_pair_table(q, np.asarray(list(config), dtype=float))))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +195,21 @@ def additive_functional(config, q):
 
 @dataclass(frozen=True)
 class SampleBatch:
+    """Configuration k is node_rule.nodes[indices[offsets[k]:offsets[k + 1]]]."""
+
     seed: int
     node_rule: object
-    configurations: list
+    indices: np.ndarray
+    offsets: np.ndarray
     spectrum: object
     rng_algorithm: str = RNG_ALGORITHM
+
+    @property
+    def configurations(self):
+        """The configurations as ascending lists of node positions."""
+        points = self.node_rule.nodes[self.indices].tolist()
+        off = self.offsets.tolist()
+        return [points[a:b] for a, b in zip(off, off[1:])]
 
     def to_jsonl(self):
         return "\n".join(json.dumps(cfg) for cfg in self.configurations) + "\n"
@@ -227,7 +221,7 @@ def _config_stream(seed, index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_configuration(lams, vectors, nodes, seed, index):
+def _draw_configuration(lams, vectors, seed, index):
     rng = _config_stream(seed, index)
     coins = rng.random(lams.size)
     sel = coins < lams
@@ -245,28 +239,33 @@ def _draw_configuration(lams, vectors, nodes, seed, index):
         picked.append(i)
         w = v @ v[i]
         v -= np.outer(w, v[i]) / diag[i]
-    return sorted(float(nodes[i]) for i in picked)
+    return sorted(picked)  # the nodes increase strictly, so this is point order
 
 
 def sample(spec, window, order, count, seed):
     """Draw `count` configurations of the discrete DPP on the GL nodes."""
     d = exact.discretize(spec, window, order)
     s, vectors = exact.eigensystem(d)
-    lams = s.eigenvalues
-    nodes = d.rule.nodes
-    configs = [_draw_configuration(lams, vectors, nodes, int(seed), i)
+    configs = [_draw_configuration(s.eigenvalues, vectors, int(seed), i)
                for i in range(int(count))]
-    return SampleBatch(int(seed), d.rule, configs, s)
+    indices = np.array([i for cfg in configs for i in cfg], dtype=np.intp)
+    offsets = np.cumsum([0] + [len(cfg) for cfg in configs])
+    return SampleBatch(int(seed), d.rule, indices, offsets, s)
 
 
-def _count_in(config, a, b):
-    return sum(1 for x in config if a <= x <= b)
+def _window_counts(batch, window):
+    """Points of each configuration inside the closed window."""
+    inside = (batch.node_rule.nodes >= window.a) & (batch.node_rule.nodes <= window.b)
+    hits = np.cumsum(np.r_[0, inside[batch.indices]])
+    return np.diff(hits[batch.offsets])
 
 
 def mc_exp_moment(batch, q, lam):
     """(mean, stderr) of exp(lam * S_q) over the batch configurations."""
     lam = float(lam)
-    svals = np.array([additive_functional(cfg, q) for cfg in batch.configurations])
+    table = _pair_table(q, batch.node_rule.nodes)
+    idx, off = batch.indices, batch.offsets.tolist()
+    svals = np.array([np.sum(table[np.ix_(idx[a:b], idx[a:b])]) for a, b in zip(off, off[1:])])
     guard = lam * float(np.max(np.abs(svals))) if svals.size else 0.0
     if guard >= 500.0:
         raise OverflowGuardError(
@@ -288,8 +287,8 @@ def negative_association_probe(spec, c1, c2, cap, samples, seed, order=512):
     hull = kernels.Interval(min(c1.a, c2.a), max(c1.b, c2.b))
     batch = sample(spec, hull, order, samples, seed)
     cap = float(cap)
-    f1 = np.array([min(_count_in(cfg, c1.a, c1.b), cap) for cfg in batch.configurations])
-    f2 = np.array([min(_count_in(cfg, c2.a, c2.b), cap) for cfg in batch.configurations])
+    f1 = np.minimum(_window_counts(batch, c1), cap)
+    f2 = np.minimum(_window_counts(batch, c2), cap)
     n = f1.size
     lhs = float(np.mean(f1 * f2))
     m1, m2 = float(np.mean(f1)), float(np.mean(f2))

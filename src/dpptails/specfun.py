@@ -116,9 +116,9 @@ WORKING_RANGES = {
     "sinc": EvalAccuracy(1e-300, 1e-12, (-math.inf, math.inf)),
     "sinc_derivative": EvalAccuracy(1e-300, 1e-12, (-math.inf, math.inf)),
     "sinc_antiderivative": EvalAccuracy(1e-14, 1e-10, (-50.0, 50.0)),
-    # relative accuracy 1e-10 is certified for x <= 40; the ascending series
-    # loses digits to cancellation beyond that (see bessel_j docstring)
-    "bessel_j": EvalAccuracy(1e-300, 1e-10, (0.0, 200.0)),
+    # the ascending series loses digits to cancellation beyond x = 40
+    # (see bessel_j docstring), so the range stops there
+    "bessel_j": EvalAccuracy(1e-300, 1e-10, (0.0, 40.0)),
     "airy_ai": EvalAccuracy(1e-300, 1e-9, (-20.0, 15.0)),
     "airy_tail_integral": EvalAccuracy(1e-11, 1e-9, (-10.0, math.inf)),
 }
@@ -205,20 +205,21 @@ def sinc_antiderivative(t):
 def bessel_j(nu, x):
     """J_nu(x) by the ascending series, double-double accumulated.
 
-    Working range 0 <= x <= 200, nu > -1.  The alternating series cancels
-    catastrophically for large argument even in extended precision, so the
-    1e-10 relative-accuracy contract is certified for x <= 40 (which covers
-    every kernel window at desk scale); beyond that the error degrades
-    smoothly, roughly exp(x)*1e-31.  Full double-double accuracy of the term
-    recursion additionally requires nu exactly representable (integers and
-    half-integers), otherwise per-term accuracy settles near 1e-14.
+    Working range 0 <= x <= 40, nu > -1, with relative error below 1e-10
+    (which covers every kernel window at desk scale).  The alternating series
+    cancels catastrophically for large argument even in extended precision:
+    the error grows roughly like exp(x)*1e-31 (J_0(80) would come out as
+    -0.967 instead of -0.0697), so larger x raises DomainError.  Full
+    double-double accuracy of the term recursion additionally requires nu
+    exactly representable (integers and half-integers), otherwise per-term
+    accuracy settles near 1e-14.
     """
     nu = float(nu)
     x = float(x)
     if nu <= -1.0:
         raise DomainError(f"bessel_j requires nu > -1, got {nu}")
-    if x < 0.0 or x > 200.0:
-        raise DomainError(f"bessel_j working range is 0 <= x <= 200, got {x}")
+    if x < 0.0 or x > 40.0:
+        raise DomainError(f"bessel_j working range is 0 <= x <= 40, got {x}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
 
@@ -420,7 +421,10 @@ def _panel(f, a, b):
 
 
 def adaptive_quadrature(f, a, b, tol=1e-12, max_depth=45):
-    """Integrate f on [a, b]: bisect until coarse and refined panels agree."""
+    """Integrate f on [a, b]: bisect until coarse and refined panels agree.
+
+    Raises ConvergenceError when a panel at max_depth still disagrees.
+    """
     if a == b:
         return 0.0
     total = 0.0
@@ -431,8 +435,12 @@ def adaptive_quadrature(f, a, b, tol=1e-12, max_depth=45):
         left = _panel(f, lo, mid)
         right = _panel(f, mid, hi)
         fine = left + right
-        if abs(fine - coarse) < max(tol, 1e-16 * abs(fine)) or depth >= max_depth:
+        if abs(fine - coarse) < max(tol, 1e-16 * abs(fine)):
             total += fine
+        elif depth >= max_depth:
+            raise ConvergenceError(
+                f"adaptive_quadrature: panel [{lo}, {hi}] still disagrees by "
+                f"{abs(fine - coarse):.3e} at max_depth {max_depth}")
         else:
             stack.append((lo, mid, left, depth + 1))
             stack.append((mid, hi, right, depth + 1))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -100,6 +101,24 @@ def test_sample_same_seed_byte_identical(tmp_path):
     assert run(args + ["--out", str(tmp_path / "a")]) == 0
     assert run(args + ["--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
+
+
+def test_sample_outputs_pinned(tmp_path):
+    # sha256 of the three outputs of one small run, pinned so that a change to
+    # the batch layout or the statistics cannot move a byte unnoticed; the
+    # header carries the toolkit version, so a version bump moves them too
+    qp = _q_spec_file(tmp_path, {"family": "gaussian_bump", "support": [0, 1, 0, 1]})
+    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "48",
+                "--samples", "200", "--seed", "9", "--lambda", "0.5:0.5:1",
+                "--q-spec", qp, "--out", str(tmp_path / "s")]) == 0
+    pins = {
+        ".jsonl": "aa8804abdd24c2cf06dd998933063f6ffd8e7a165e7486feb3c523329d6b6984",
+        "_mc.json": "ec6c18716f97a5388170d1b8bf8b404ba22792c6a3a2fe1a630cd30d33774984",
+        "_na.json": "4fed76aed6ffce6ce58948c94916860e49a659aae8405c80942f5cc91b15b910",
+    }
+    for suffix, digest in pins.items():
+        data = (tmp_path / ("s" + suffix)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, suffix
 
 
 def test_sample_malformed_q_spec_exit_2(tmp_path):

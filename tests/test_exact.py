@@ -391,6 +391,20 @@ def test_legendre_partition_n3_formula_defect():
     assert abs(formula - quad) > 1.0
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_legendre_partition_quadrature_selberg_witness(n):
+    # Selberg integral with alpha = beta = gamma = 1, scaled from [0, 1]^n to
+    # [-n/2, n/2]^n: n^(n^2) prod_j (j!)^2 (j+1)! / (n+j)!; n = 3 gives
+    # 3^9/360 = 2187/40
+    selberg = float(n) ** (n * n)
+    for j in range(n):
+        selberg *= math.factorial(j) ** 2 * math.factorial(j + 1) / math.factorial(n + j)
+    _, quad = exact.legendre_partition(n)
+    assert quad == pytest.approx(selberg, rel=1e-12)
+    if n == 3:
+        assert selberg == pytest.approx(2187.0 / 40.0, rel=1e-15)
+
+
 def test_legendre_partition_n4_no_quadrature():
     formula, quad = exact.legendre_partition(4)
     assert quad is None and formula > 0

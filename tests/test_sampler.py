@@ -66,6 +66,23 @@ def test_additive_functional_pair():
     assert sampler.additive_functional([a, b], q) == pytest.approx(expected, rel=1e-14)
 
 
+def test_scalar_only_evaluator_raises():
+    # q must broadcast over arrays; a math.exp evaluator is rejected, not looped
+    def scalar_q(x, y):
+        return (x != y) * math.exp(-(x - y) ** 2)
+
+    with pytest.raises(TypeError):
+        sampler.pair_functional(scalar_q, (0.0, 1.0, 0.0, 1.0))
+    with pytest.raises(TypeError):
+        sampler.additive_functional([0.1, 0.5, 0.9], scalar_q)
+
+
+def test_constant_evaluator_broadcasts():
+    q = sampler.pair_functional(lambda x, y: 0.0, (0.0, 1.0, 0.0, 1.0))
+    assert q.norm_1_inf == 0.0
+    assert sampler.additive_functional([0.1, 0.5, 0.9], q) == 0.0
+
+
 def test_additive_functional_permutation_invariant():
     q = sampler.gaussian_bump_q()
     pts = [0.1, -0.4, 1.2, 0.8]
@@ -119,13 +136,24 @@ def test_shard_stability():
     # drawing configurations in two shards must reproduce the batch exactly
     d = exact.discretize(SINE, Interval(0.0, 1.0), 64)
     s, vectors = exact.eigensystem(d)
-    full = [sampler._draw_configuration(s.eigenvalues, vectors, d.rule.nodes, 7, i)
+    full = [sampler._draw_configuration(s.eigenvalues, vectors, 7, i)
             for i in range(40)]
-    shard_a = [sampler._draw_configuration(s.eigenvalues, vectors, d.rule.nodes, 7, i)
+    shard_a = [sampler._draw_configuration(s.eigenvalues, vectors, 7, i)
                for i in range(20)]
-    shard_b = [sampler._draw_configuration(s.eigenvalues, vectors, d.rule.nodes, 7, i)
+    shard_b = [sampler._draw_configuration(s.eigenvalues, vectors, 7, i)
                for i in range(20, 40)]
     assert full == shard_a + shard_b
+
+
+def test_batch_layout_matches_configurations():
+    batch = sampler.sample(SINE, Interval(-1.0, 2.0), 64, 300, seed=13)
+    assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.indices.size
+    assert batch.offsets.size == 301
+    nodes = batch.node_rule.nodes
+    split = [c.tolist() for c in np.split(nodes[batch.indices], batch.offsets[1:-1])]
+    assert batch.configurations == split
+    assert all(c == sorted(c) for c in batch.configurations)
+    assert sum(map(len, split)) > 300  # mean count 3: the layout is exercised
 
 
 def test_sine_mean_count_three_sigma():
@@ -170,6 +198,21 @@ def test_mc_small_lambda_limit():
     assert est == pytest.approx(1.0, abs=1e-7)
 
 
+@pytest.mark.parametrize("q", [
+    sampler.gaussian_bump_q(width=0.8, support=(-1.0, 1.5, -2.0, 1.0)),
+    sampler.custom_grid_q([-1.0, 0.0, 2.0], [-1.0, 0.5, 2.0],
+                          [[0.0, 1.0, 2.0], [1.0, 0.3, 0.1], [0.2, 0.4, 0.0]]),
+])
+def test_mc_matches_per_configuration_functional(q):
+    # the tabulated S_q is bit-identical to the per-configuration reference
+    batch = sampler.sample(SINE, Interval(-1.0, 2.0), 64, 400, seed=14)
+    svals = np.array([sampler.additive_functional(c, q) for c in batch.configurations])
+    vals = np.exp(0.3 * svals)
+    est, err = sampler.mc_exp_moment(batch, q, 0.3)
+    assert est == float(np.mean(vals))
+    assert err == float(np.std(vals, ddof=1) / math.sqrt(vals.size))
+
+
 def test_mc_overflow_guard():
     batch = sampler.sample(SINE, Interval(0.0, 1.0), 64, 200, seed=5)
     q = sampler.box_q(1000.0, (0.0, 1.0, 0.0, 1.0))
@@ -206,6 +249,23 @@ def test_na_windows_outside_mass():
         airy, Interval(2.0, 3.0), Interval(3.0, 4.0), cap=3, samples=2000,
         seed=23, order=64)
     assert lhs <= 1e-3 and rhs <= 1e-3
+
+
+def test_na_counts_match_plain_count():
+    c1, c2, cap = Interval(-1.0, 0.3), Interval(0.3, 2.0), 2
+    batch = sampler.sample(SINE, Interval(-1.0, 2.0), 64, 600, seed=24)
+    plain = [np.array([min(sum(1 for x in cfg if c.a <= x <= c.b), cap)
+                       for cfg in batch.configurations], dtype=float) for c in (c1, c2)]
+    for c, ref in zip((c1, c2), plain):
+        assert np.array_equal(np.minimum(sampler._window_counts(batch, c), cap), ref)
+    f1, f2 = plain
+    lhs, rhs, err = sampler.negative_association_probe(
+        SINE, c1, c2, cap=cap, samples=600, seed=24, order=64)
+    m1, m2 = float(np.mean(f1)), float(np.mean(f2))
+    assert lhs == float(np.mean(f1 * f2)) and rhs == m1 * m2
+    var = float(np.var(f1 * f2, ddof=1)) + m2 * m2 * float(np.var(f1, ddof=1)) \
+        + m1 * m1 * float(np.var(f2, ddof=1))
+    assert err == math.sqrt(var / f1.size)
 
 
 def test_na_disjointness_required():

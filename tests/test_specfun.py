@@ -129,6 +129,8 @@ def test_bessel_domain_errors():
     with pytest.raises(sf.DomainError):
         sf.bessel_j(0.0, 201.0)
     with pytest.raises(sf.DomainError):
+        sf.bessel_j(0.0, 80.0)
+    with pytest.raises(sf.DomainError):
         sf.bessel_j(0.0, -1.0)
 
 
@@ -199,6 +201,16 @@ def test_airy_tail_integral_two_tolerances():
     b = sf.airy_tail_integral(-10.0, tol=1e-12)
     assert abs(a - b) < 1e-9
     assert b == pytest.approx(1.099031736467546250758, rel=1e-10)
+
+
+def test_adaptive_quadrature_raises_at_max_depth():
+    # a jump never lets the panel that holds it agree with its halves
+    def step(x):
+        return 1.0 if x > 0.3 else 0.0
+
+    with pytest.raises(sf.ConvergenceError):
+        sf.adaptive_quadrature(step, 0.0, 1.0, max_depth=6)
+    assert sf.adaptive_quadrature(step, 0.0, 1.0) == pytest.approx(0.7, abs=1e-11)
 
 
 def test_airy_tail_domain_error():
