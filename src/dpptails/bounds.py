@@ -471,6 +471,14 @@ class BoundReport:
                 "per_n_log_bounds has not turned strictly decreasing; raise n_max "
                 "(long windows and block kernels can need n_max in the thousands)")
 
+    def theorem_log_bound(self, n):
+        """Theorem form of the log-tail bound: B n^2 - n^2 log(n) / (2 sigma)."""
+        return self.b_tail * n * n - (n * n / (2.0 * self.sigma)) * math.log(n)
+
+    def moment_log_bound(self, lam):
+        """Moment bound c (e^{4 sigma lam} - 1) on log E exp(lam * count^2)."""
+        return self.c_moment * math.expm1(min(700.0, 4.0 * self.sigma * lam))
+
     def to_json_dict(self):
         return {
             "kernel": self.kernel,

@@ -83,7 +83,6 @@ class KernelSpec:
     kind: str
     identifier: str
     block_size: int
-    domain: str
     bessel_s: float | None = None
 
 
@@ -97,21 +96,14 @@ class Factorization:
 
 
 KERNEL_IDS = ("sine", "bessel:s=<real>", "airy", "ginibre", "sine4", "airy4")
+_BLOCK_SIZES = {"sine": 1, "airy": 1, "ginibre": 1, "sine4": 2, "airy4": 2}
 
 
 def make_kernel(identifier):
     """Build a KernelSpec from its registry id (e.g. "sine", "bessel:s=0.5")."""
     ident = identifier.strip()
-    if ident == "sine":
-        return KernelSpec("sine", ident, 1, "real_line")
-    if ident == "airy":
-        return KernelSpec("airy", ident, 1, "real_line")
-    if ident == "ginibre":
-        return KernelSpec("ginibre", ident, 1, "complex_disk")
-    if ident == "sine4":
-        return KernelSpec("sine4", ident, 2, "real_line")
-    if ident == "airy4":
-        return KernelSpec("airy4", ident, 2, "real_line")
+    if ident in _BLOCK_SIZES:
+        return KernelSpec(ident, ident, _BLOCK_SIZES[ident])
     if ident.startswith("bessel:s="):
         try:
             s = float(ident[len("bessel:s="):])
@@ -119,7 +111,7 @@ def make_kernel(identifier):
             raise DomainError(f"cannot parse Bessel parameter in {identifier!r}")
         if s <= -1.0:
             raise DomainError(f"Bessel kernel requires s > -1, got {s}")
-        return KernelSpec("bessel", f"bessel:s={s}", 1, "positive_half_line", bessel_s=s)
+        return KernelSpec("bessel", f"bessel:s={s}", 1, bessel_s=s)
     raise DomainError(f"unknown kernel id {identifier!r}; known ids: {KERNEL_IDS}")
 
 
@@ -342,10 +334,6 @@ def intensity(spec, x):
 # growth envelopes
 # ---------------------------------------------------------------------------
 
-def _gamma(v):
-    return math.gamma(v)
-
-
 @lru_cache(maxsize=256)
 def _bessel_envelope_amplitude(s, b):
     """Explicit majorization of the reduced Bessel kernel on windows in (0, b].
@@ -356,10 +344,10 @@ def _bessel_envelope_amplitude(s, b):
     amplitude * e^{r} with r = |z - p|.
     """
     eb4 = math.exp(b / 4.0)
-    g2, g3 = _gamma(s + 2.0), _gamma(s + 3.0)
+    g2, g3 = math.gamma(s + 2.0), math.gamma(s + 3.0)
     dphi = eb4 / (4.0 * g2)
     dg = eb4 * (1.0 / (4.0 * g2) + b / (16.0 * g3) + (4.0 / (3.0 * math.e)) / (16.0 * g3))
-    phi_p = eb4 / _gamma(s + 1.0)
+    phi_p = eb4 / math.gamma(s + 1.0)
     g_p = (b / 4.0) * eb4 / g2
     return phi_p * dg + g_p * dphi
 

@@ -8,6 +8,7 @@ diagonal, deflating after each pick).  Randomness is counter-based
 batches are reproducible and shard-stable across worker counts.
 """
 
+import inspect
 import json
 import math
 from dataclasses import dataclass
@@ -133,14 +134,17 @@ def box_q(amplitude=1.0, support=(0.0, 1.0, 0.0, 1.0)):
     return pair_functional(ev, support)
 
 
-def custom_grid_q(x_grid, y_grid, values):
+def custom_grid_q(x, y, values):
     """Tabulated q with bilinear interpolation inside the grid box, zero
-    outside and on the diagonal."""
-    xg = np.asarray(x_grid, dtype=float)
-    yg = np.asarray(y_grid, dtype=float)
+    outside and on the diagonal; both grids must increase strictly."""
+    xg = np.asarray(x, dtype=float)
+    yg = np.asarray(y, dtype=float)
     vals = np.asarray(values, dtype=float)
+    for g in (xg, yg):
+        if g.ndim != 1 or g.size < 2 or not np.all(np.diff(g) > 0):
+            raise ValueError("x and y grids need at least 2 strictly increasing entries")
     if vals.shape != (xg.size, yg.size):
-        raise ValueError("values must have shape (len(x_grid), len(y_grid))")
+        raise ValueError("values must have shape (len(x), len(y))")
 
     def ev(x, y):
         x = np.asarray(x, dtype=float)
@@ -157,24 +161,25 @@ def custom_grid_q(x_grid, y_grid, values):
     return pair_functional(ev, (xg[0], xg[-1], yg[0], yg[-1]))
 
 
-_Q_FAMILIES = {"gaussian_bump", "box", "custom_grid"}
+_Q_FAMILIES = {"gaussian_bump": gaussian_bump_q, "box": box_q, "custom_grid": custom_grid_q}
 
 
 def make_pair_functional(spec_dict):
-    """Declarative q construction from a dict (the CLI q-spec schema)."""
-    fam = spec_dict.get("family")
-    if fam == "gaussian_bump":
-        return gaussian_bump_q(
-            amplitude=float(spec_dict.get("amplitude", 1.0)),
-            center=tuple(spec_dict.get("center", (0.0, 0.0))),
-            width=float(spec_dict.get("width", 1.0)),
-            support=tuple(spec_dict.get("support", (-3.0, 3.0, -3.0, 3.0))))
-    if fam == "box":
-        return box_q(amplitude=float(spec_dict.get("amplitude", 1.0)),
-                     support=tuple(spec_dict.get("support", (0.0, 1.0, 0.0, 1.0))))
-    if fam == "custom_grid":
-        return custom_grid_q(spec_dict["x"], spec_dict["y"], spec_dict["values"])
-    raise ValueError(f"unknown q family {fam!r}; known: {sorted(_Q_FAMILIES)}")
+    """Declarative q construction from a dict (the CLI q-spec schema).
+
+    "family" picks the constructor; every other key is one of its keyword
+    arguments, so the defaults are the constructor's own.
+    """
+    params = dict(spec_dict)
+    family = params.pop("family", None)
+    if family not in _Q_FAMILIES:
+        raise ValueError(f"unknown q family {family!r}; known: {sorted(_Q_FAMILIES)}")
+    build = _Q_FAMILIES[family]
+    try:
+        inspect.signature(build).bind(**params)
+    except TypeError as exc:
+        raise ValueError(f"q family {family!r}: {exc}") from None
+    return build(**params)
 
 
 def _pair_table(q, xs):
@@ -284,6 +289,8 @@ def negative_association_probe(spec, c1, c2, cap, samples, seed, order=512):
     """
     if not (c1.b <= c2.a or c2.b <= c1.a):
         raise ValueError("windows C1 and C2 must be disjoint")
+    if samples < 2:
+        raise ValueError(f"the NA probe needs samples >= 2 for its stderr, got {samples}")
     hull = kernels.Interval(min(c1.a, c2.a), max(c1.b, c2.b))
     batch = sample(spec, hull, order, samples, seed)
     cap = float(cap)

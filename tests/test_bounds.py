@@ -518,3 +518,12 @@ def test_airy_b_over_window_family():
     assert all(math.isfinite(v) for v in vals)
     # windows further right see a smaller kernel, so B should not blow up
     assert max(vals) < 4.0 * max(1.0, min(vals))
+
+
+def test_report_theorem_and_moment_forms_dominate():
+    rep = bounds.build_bound_report(SINE, UNIT, n_max=64, lambda_max=2.0)
+    gaps = [rep.theorem_log_bound(n) - lb for n, lb in rep.per_n_log_bounds]
+    assert min(gaps) >= -1e-12 * abs(rep.b_tail) * 64 * 64
+    assert min(gaps) == pytest.approx(0.0, abs=1e-9)   # B is attained at some n
+    for lam in [2.0 * (k + 1) / 200 for k in range(0, 200, 20)]:
+        assert bounds.exp_moment_log_bound(SINE, UNIT, lam) <= rep.moment_log_bound(lam)

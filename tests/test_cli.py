@@ -203,3 +203,59 @@ def test_exact_csv_format(tmp_path):
     assert lines[5] == "kind,index,value"
     assert any(l.startswith("eigenvalue,0,") for l in lines)
     assert any(l.startswith("pmf,0,") for l in lines)
+
+
+# ---------------------------------------------------------------------------
+# each subcommand parses only the options it reads
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--samples", "100"],
+    ["exact", "--nmax", "64"],
+    ["compare", "--format", "csv"],
+    ["sample", "--nmax", "64"],
+])
+def test_unread_option_exit_2(tmp_path, argv):
+    qp = _q_spec_file(tmp_path, {"family": "box"})
+    extra = ["--q-spec", qp] if argv[0] == "sample" else []
+    assert run(argv + ["--kernel", "sine", "--window", "0,1", "--order", "48",
+                       "--out", str(tmp_path / "x")] + extra) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json"]
+
+
+def test_q_spec_misspelt_key_exit_2(tmp_path):
+    qp = _q_spec_file(tmp_path, {"family": "gaussian_bump", "widht": 2.0})
+    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "48",
+                "--samples", "50", "--q-spec", qp, "--out", str(tmp_path / "s")]) == 2
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+def test_custom_grid_q_spec_must_increase_exit_2(tmp_path):
+    qp = _q_spec_file(tmp_path, {"family": "custom_grid", "x": [0, 2, 1], "y": [0, 1],
+                                 "values": [[0, 1], [1, 0], [1, 1]]})
+    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "48",
+                "--samples", "50", "--q-spec", qp, "--out", str(tmp_path / "s")]) == 2
+
+
+def test_sample_needs_two_samples_exit_2(tmp_path):
+    qp = _q_spec_file(tmp_path, {"family": "box"})
+    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
+                "--samples", "1", "--q-spec", qp, "--out", str(tmp_path / "s")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json"]
+
+
+@pytest.mark.parametrize("out", ["missing/s", ""])
+def test_out_into_missing_directory_exit_2(tmp_path, monkeypatch, out):
+    monkeypatch.chdir(tmp_path)
+    qp = _q_spec_file(tmp_path, {"family": "box"})
+    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
+                "--samples", "20", "--q-spec", qp, "--out", out]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json"]
+
+
+def test_write_failure_exit_2(tmp_path, monkeypatch):
+    def refuse(path, text):
+        raise PermissionError(f"cannot write {path}")
+    monkeypatch.setattr(cli, "_atomic_write", refuse)
+    assert run(["bound", "--kernel", "sine", "--window", "0,1",
+                "--out", str(tmp_path / "rep")]) == 2

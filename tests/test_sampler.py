@@ -299,3 +299,30 @@ def test_custom_grid_bilinear_interpolation():
     assert float(q.evaluator(2.0, 0.0)) == pytest.approx(2.0)
     assert float(q.evaluator(0.5, 0.5)) == 0.0  # diagonal mask
     assert float(q.evaluator(3.0, 0.5)) == 0.0  # outside support
+
+
+@pytest.mark.parametrize("family, build", [("gaussian_bump", sampler.gaussian_bump_q),
+                                           ("box", sampler.box_q)])
+def test_make_pair_functional_defaults_are_the_constructors(family, build):
+    assert sampler.make_pair_functional({"family": family}).norm_1_inf == build().norm_1_inf
+
+
+def test_make_pair_functional_rejects_unknown_and_missing_keys():
+    with pytest.raises(ValueError, match="widht"):
+        sampler.make_pair_functional({"family": "gaussian_bump", "widht": 2.0})
+    with pytest.raises(ValueError, match="values"):
+        sampler.make_pair_functional({"family": "custom_grid", "x": [0, 1], "y": [0, 1]})
+
+
+@pytest.mark.parametrize("x, y", [([0.0, 2.0, 1.0], [0.0, 1.0]),
+                                  ([0.0, 1.0], [1.0, 1.0]),
+                                  ([0.0], [0.0, 1.0])])
+def test_custom_grid_needs_increasing_grids(x, y):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sampler.custom_grid_q(x, y, np.zeros((len(x), len(y))))
+
+
+def test_na_probe_needs_two_samples():
+    with pytest.raises(ValueError, match="samples >= 2"):
+        sampler.negative_association_probe(SINE, Interval(0.0, 0.5), Interval(0.5, 1.0),
+                                           cap=3, samples=1, seed=1, order=32)
