@@ -1,8 +1,9 @@
-"""Exact spectral oracles: Nystrom + Jacobi + Bernoulli counting.
+"""Exact spectral oracles: Nystrom + low-rank eigensolve + Bernoulli counting.
 
 The particle count in a window is an independent Bernoulli sum over the
 eigenvalues of the restricted kernel; this demo computes those eigenvalues
-with the in-package cyclic Jacobi solver, builds the counting pmf, checks
+with the in-package low-rank solve (pivoted Cholesky, then cyclic Jacobi on
+the projected matrix), builds the counting pmf, checks
 the Fredholm generating function, and runs the two analytic cross-checks.
 Run:  python demos/04_exact_spectra.py
 """

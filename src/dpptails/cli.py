@@ -230,14 +230,16 @@ def cmd_compare(args, spec):
 
 def cmd_sample(args, spec):
     q, lam, window = args.q, args.lam[0], args.window
-    batch = sampler.sample(spec, window, args.order, args.samples, args.seed)
+    # one solve serves both the batch and the NA probe, whose hull is the window
+    system = sampler.solve(spec, window, args.order)
+    batch = sampler.sample(spec, window, args.order, args.samples, args.seed, system)
     est, stderr = sampler.mc_exp_moment(batch, q, lam)
     mid = 0.5 * (window.a + window.b)
     c1 = kernels.Interval(window.a, mid)
     c2 = kernels.Interval(mid, window.b)
     lhs, rhs, na_err = sampler.negative_association_probe(
         spec, c1, c2, cap=3, samples=args.samples, seed=args.seed + 1,
-        order=args.order)
+        order=args.order, system=system)
     base = args.out
     header = json.dumps({"header": _header_dict(args, {
         "rng": batch.rng_algorithm, "q_norm_1_inf": q.norm_1_inf})}, default=float)

@@ -1,10 +1,15 @@
 """Exact spectral oracles for counting statistics.
 
 Nystrom discretization of a scalar kernel on Gauss-Legendre nodes, a
-deterministic cyclic Jacobi eigensolver, the Bernoulli-sum counting
-distribution (pmf by sequential convolution), the Fredholm generating
-function, a Parlett-Reid Pfaffian, correlation functions, and two analytic
-cross-checks (Ginibre disk eigenvalues, scaled Legendre normalization).
+certified low-rank eigensolve (diagonal-pivoted Cholesky to a relative
+residual, one subspace-iteration step orthonormalized by two-pass
+Gram-Schmidt, then a deterministic cyclic Jacobi Rayleigh-Ritz solve of the
+r x r projected matrix, with the spectral mass beyond rank r bounded through
+Weyl's inequality), the Bernoulli-sum
+counting distribution (pmf by sequential convolution), the Fredholm
+generating function, a Parlett-Reid Pfaffian, correlation functions, and
+two analytic cross-checks (Ginibre disk eigenvalues, scaled Legendre
+normalization).
 """
 
 import math
@@ -61,14 +66,22 @@ class DiscretizedKernel:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of the restricted kernel: HKPV Bernoulli success probabilities."""
+    """Eigenvalues of the restricted kernel: HKPV Bernoulli success probabilities.
+
+    Only the first `rank` entries were solved for; the rest are zeros whose
+    true values sum to at most `truncated_mass` (default: a full solve).
+    """
 
     eigenvalues: np.ndarray
     raw_out_of_range: float
+    truncated_mass: float = 0.0
+    rank: int = None
 
     def __post_init__(self):
         ev = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", ev)
+        if self.rank is None:
+            object.__setattr__(self, "rank", ev.size)
         if ev.size and (ev.min() < 0.0 or ev.max() > 1.0):
             raise ValueError("eigenvalues must be clipped to [0, 1]")
         if np.any(np.diff(ev) > 0):
@@ -78,6 +91,8 @@ class Spectrum:
         return {
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "raw_out_of_range": float(self.raw_out_of_range),
+            "rank": int(self.rank),
+            "truncated_mass": float(self.truncated_mass),
         }
 
 
@@ -218,30 +233,113 @@ def jacobi_eigh(a, want_vectors=False, tol=1e-14, max_sweeps=50):
 
 
 _RANGE_BAND = 1e-6
+_EPS = float(np.finfo(float).eps)
 
 
-def _spectrum_from_raw(raw, vectors=None):
-    order = np.argsort(-raw)
+def _pivoted_cholesky(a):
+    """Rows of the diagonal-pivoted Cholesky factor of a, stopped once the
+    positive residual diagonal sums to <= 4 n eps trace(a) or no residual
+    diagonal entry is positive.  Storage grows by doubling, so it stays
+    O(n r) for rank r."""
+    n = a.shape[0]
+    res = np.diag(a).copy()
+    stop = 4.0 * n * _EPS * float(np.sum(res))
+    rows = np.empty((min(n, 32), n))
+    r = 0
+    while r < n:
+        p = int(np.argmax(res))
+        if res[p] <= 0.0 or float(np.sum(np.maximum(res, 0.0))) <= stop:
+            break
+        if r == rows.shape[0]:
+            rows = np.concatenate([rows, np.empty((min(r, n - r), n))])
+        col = (a[p] - rows[:r, p] @ rows[:r]) / math.sqrt(res[p])
+        rows[r] = col
+        res -= col * col
+        res[p] = 0.0
+        r += 1
+    return rows[:r]
+
+
+def _orthonormal_columns(rows):
+    """Orthonormal basis (n x r) of the span of `rows` by two-pass
+    classical Gram-Schmidt."""
+    r, n = rows.shape
+    q = np.empty((n, r))
+    for j in range(r):
+        v = rows[j].copy()
+        for _ in range(2):
+            v -= q[:, :j] @ (q[:, :j].T @ v)
+        q[:, j] = v / np.linalg.norm(v)
+    return q
+
+
+def _low_rank_solve(a, want_vectors):
+    """Rayleigh-Ritz on a times the pivoted-Cholesky range of symmetric a.
+
+    Returns (raw, vectors, rank, truncated_mass): the r Ritz values padded
+    with zeros to length n, the lifted Ritz vectors padded with zero columns
+    (None unless want_vectors), r, and an outward-rounded bound on the
+    positive spectral mass of a beyond rank r.  With E = a - Q B Q^T,
+    Weyl's inequality gives lambda_{r+k}(a) <= lambda_k(E), so that mass is
+    at most (tr E + sqrt(n) ||E||_F) / 2.  Raises SpectrumRangeError when
+    ||E||_F exceeds the range band: an indefinite part the factor skipped.
+    """
+    a = np.asarray(a, dtype=float)
+    if not np.all(np.isfinite(a)):
+        raise ValueError("the eigensolve needs a finite matrix")
+    n = a.shape[0]
+    q = _orthonormal_columns(_pivoted_cholesky(a))
+    # one subspace-iteration step: the pivot columns hold the eigenvectors of
+    # small retained eigenvalues only loosely, and a q is sharper by the ratio
+    # of the dropped to the retained eigenvalues
+    q = _orthonormal_columns((a @ q).T)
+    r = q.shape[1]
+    b = q.T @ (a @ q)
+    b = 0.5 * (b + b.T)
+    solved = jacobi_eigh(b, want_vectors=want_vectors)
+    ritz, w = solved if want_vectors else (solved, None)
+    e = a - q @ (b @ q.T)
+    fro = float(np.linalg.norm(e))
+    if fro > _RANGE_BAND:
+        raise SpectrumRangeError(
+            f"residual beyond rank {r} has Frobenius norm {fro:.3e} > {_RANGE_BAND:g}: "
+            "the matrix is indefinite beyond the range band")
+    # round both sums outward by their worst-case summation error
+    de = np.diag(e)
+    tr_up = float(np.sum(de)) + n * _EPS * float(np.sum(np.abs(de)))
+    bound = 0.5 * (tr_up + math.sqrt(n) * fro * (1.0 + n * _EPS))
+    mass = math.nextafter(max(bound, 0.0), math.inf)
+    raw = np.concatenate([ritz, np.zeros(n - r)])
+    vectors = None
+    if want_vectors:
+        vectors = np.zeros((n, n))
+        vectors[:, :r] = q @ w
+    return raw, vectors, r, mass
+
+
+def _spectrum_from_solve(raw, vectors, rank, mass):
+    order = np.argsort(-raw, kind="stable")
     raw = raw[order]
     viol = max(0.0, float(-raw.min()), float(raw.max() - 1.0))
     if viol > _RANGE_BAND:
         raise SpectrumRangeError(
             f"raw eigenvalue outside [-1e-6, 1+1e-6] by {viol:.3e}; raise the quadrature order")
-    spec = Spectrum(np.clip(raw, 0.0, 1.0), viol)
+    spec = Spectrum(np.clip(raw, 0.0, 1.0), viol, mass, rank)
     if vectors is None:
         return spec
     return spec, vectors[:, order]
 
 
 def spectrum(d):
-    """Spectrum of a DiscretizedKernel, eigenvalues descending and clipped."""
-    return _spectrum_from_raw(jacobi_eigh(d.matrix))
+    """Spectrum of a DiscretizedKernel, eigenvalues descending and clipped;
+    entries beyond the numerical rank are zeros covered by truncated_mass."""
+    return _spectrum_from_solve(*_low_rank_solve(d.matrix, want_vectors=False))
 
 
 def eigensystem(d):
-    """(Spectrum, eigenvector matrix) with columns matching the eigenvalues."""
-    raw, vectors = jacobi_eigh(d.matrix, want_vectors=True)
-    return _spectrum_from_raw(raw, vectors)
+    """(Spectrum, eigenvector matrix) with columns matching the eigenvalues;
+    the columns of the zero entries beyond the numerical rank are zero."""
+    return _spectrum_from_solve(*_low_rank_solve(d.matrix, want_vectors=True))
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +372,10 @@ def count_distribution(s):
         nxt[:-1] = pmf * (1.0 - lam)
         nxt[1:] += pmf * lam
         pmf = nxt
-    return CountDistribution(pmf, float(sum(small)) + s.raw_out_of_range, len(small))
+    # the zeros beyond the solved rank are dropped components as well
+    dropped = len(small) + s.eigenvalues.size - s.rank
+    return CountDistribution(
+        pmf, float(sum(small)) + s.raw_out_of_range + s.truncated_mass, dropped)
 
 
 def tail(c, n):

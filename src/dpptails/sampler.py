@@ -28,6 +28,7 @@ __all__ = [
     "make_pair_functional",
     "norm_1_inf",
     "additive_functional",
+    "solve",
     "sample",
     "mc_exp_moment",
     "negative_association_probe",
@@ -247,10 +248,24 @@ def _draw_configuration(lams, vectors, seed, index):
     return sorted(picked)  # the nodes increase strictly, so this is point order
 
 
-def sample(spec, window, order, count, seed):
-    """Draw `count` configurations of the discrete DPP on the GL nodes."""
+def solve(spec, window, order):
+    """(DiscretizedKernel, Spectrum, eigenvectors) that `sample` draws from."""
     d = exact.discretize(spec, window, order)
-    s, vectors = exact.eigensystem(d)
+    return (d, *exact.eigensystem(d))
+
+
+def sample(spec, window, order, count, seed, system=None):
+    """Draw `count` configurations of the discrete DPP on the GL nodes.
+
+    `system` is the `solve(spec, window, order)` triple when the caller
+    already has it; otherwise it is solved here.
+    """
+    if system is None:
+        system = solve(spec, window, order)
+    d, s, vectors = system
+    if d.window != (float(window.a), float(window.b)) or d.matrix.shape[0] != int(order):
+        raise ValueError(f"the system was solved on {d.window} at order "
+                         f"{d.matrix.shape[0]}, not on the requested window and order")
     configs = [_draw_configuration(s.eigenvalues, vectors, int(seed), i)
                for i in range(int(count))]
     indices = np.array([i for cfg in configs for i in cfg], dtype=np.intp)
@@ -281,18 +296,20 @@ def mc_exp_moment(batch, q, lam):
     return est, stderr
 
 
-def negative_association_probe(spec, c1, c2, cap, samples, seed, order=512):
+def negative_association_probe(spec, c1, c2, cap, samples, seed, order=512, system=None):
     """Empirical check of negative association with capped counts.
 
     f_i = min(#_{C_i}, cap) are bounded increasing; for a determinantal
     process E[f1 f2] <= E[f1] E[f2].  Returns (lhs, rhs, pooled stderr).
+    The draws come from the hull of C1 and C2; `system` is its `solve`
+    triple when the caller already has it.
     """
     if not (c1.b <= c2.a or c2.b <= c1.a):
         raise ValueError("windows C1 and C2 must be disjoint")
     if samples < 2:
         raise ValueError(f"the NA probe needs samples >= 2 for its stderr, got {samples}")
     hull = kernels.Interval(min(c1.a, c2.a), max(c1.b, c2.b))
-    batch = sample(spec, hull, order, samples, seed)
+    batch = sample(spec, hull, order, samples, seed, system)
     cap = float(cap)
     f1 = np.minimum(_window_counts(batch, c1), cap)
     f2 = np.minimum(_window_counts(batch, c2), cap)

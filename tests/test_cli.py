@@ -121,6 +121,18 @@ def test_sample_outputs_pinned(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, suffix
 
 
+def test_sample_solves_once(tmp_path, monkeypatch):
+    # the NA probe's hull is the window, so it reuses the batch's eigensystem
+    from dpptails import exact
+    calls = []
+    solve = exact.eigensystem
+    monkeypatch.setattr(exact, "eigensystem", lambda d: calls.append(d) or solve(d))
+    qp = _q_spec_file(tmp_path, {"family": "box", "support": [0, 1, 0, 1]})
+    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
+                "--samples", "50", "--q-spec", qp, "--out", str(tmp_path / "s")]) == 0
+    assert len(calls) == 1
+
+
 def test_sample_malformed_q_spec_exit_2(tmp_path):
     p = tmp_path / "q.json"
     p.write_text("{not json")

@@ -135,6 +135,124 @@ def test_spectrum_out_of_range_error():
 
 
 # ---------------------------------------------------------------------------
+# low-rank eigensolve against np.linalg.eigh (a test-only oracle)
+# ---------------------------------------------------------------------------
+
+_ORACLE_CASES = [
+    ("sine", Interval(-3.0, 3.0), 384, 1e-10),
+    ("airy", Interval(-2.0, 0.0), 384, 1e-10),   # indefinite Gram: min eigenvalue -3.7e-12
+    ("bessel:s=0.5", Interval(0.5, 4.0), 384, 1e-10),
+    # the split at 1e-8 has a gap of 3.2e-8 here, and a full cyclic Jacobi
+    # solve of this matrix differs from eigh's projector by 1.6e-10 as well
+    ("sine", Interval(0.0, 20.0), 512, 2e-10),
+]
+
+
+@pytest.fixture(scope="module", params=_ORACLE_CASES,
+                ids=lambda c: f"{c[0]}[{c[1].a:g},{c[1].b:g}]/{c[2]}")
+def oracle_case(request):
+    kernel_id, window, order, projector_tol = request.param
+    d = exact.discretize(kernels.make_kernel(kernel_id), window, order)
+    s, vectors = exact.eigensystem(d)
+    ref_values, ref_vectors = np.linalg.eigh(d.matrix)
+    return s, vectors, ref_values[::-1], ref_vectors[:, ::-1], projector_tol
+
+
+def test_low_rank_eigenvalues_match_eigh(oracle_case):
+    s, _, ref_values, _, _ = oracle_case
+    assert s.rank < s.eigenvalues.size
+    assert np.max(np.abs(s.eigenvalues - np.clip(ref_values, 0.0, 1.0))) <= 1e-11
+
+
+def test_low_rank_projector_matches_eigh(oracle_case):
+    s, vectors, ref_values, ref_vectors, tol = oracle_case
+    k = int(np.count_nonzero(s.eigenvalues > 1e-8))
+    assert k == int(np.count_nonzero(ref_values > 1e-8))
+    mine = vectors[:, :k] @ vectors[:, :k].T
+    ref = ref_vectors[:, :k] @ ref_vectors[:, :k].T
+    assert np.max(np.abs(mine - ref)) <= tol
+
+
+def test_truncated_mass_covers_dropped_eigenvalues(oracle_case):
+    s, _, ref_values, _, _ = oracle_case
+    dropped = float(np.sum(np.clip(ref_values[s.rank:], 0.0, None)))
+    assert 0.0 < dropped <= s.truncated_mass < 1e-9
+
+
+def test_spectrum_matches_eigensystem_values():
+    d = exact.discretize(SINE, Interval(-3.0, 3.0), 128)
+    s = exact.spectrum(d)
+    s2, vectors = exact.eigensystem(d)
+    assert np.array_equal(s.eigenvalues, s2.eigenvalues) and s.rank == s2.rank
+    assert vectors.shape == (128, 128)
+    assert not np.any(vectors[:, s.rank:])
+
+
+def test_eigensolve_is_low_rank(monkeypatch):
+    orders = []
+    solve = exact.jacobi_eigh
+
+    def spy(a, *args, **kwargs):
+        orders.append(np.shape(a)[0])
+        return solve(a, *args, **kwargs)
+
+    monkeypatch.setattr(exact, "jacobi_eigh", spy)
+    d = exact.discretize(SINE, Interval(-3.0, 3.0), 384)
+    exact.spectrum(d)
+    exact.eigensystem(d)
+    assert len(orders) == 2 and max(orders) <= 40
+
+
+def _bare(matrix):
+    return exact.DiscretizedKernel(None, np.asarray(matrix, dtype=float), "custom", (0.0, 1.0))
+
+
+def _hidden_negative_pair():
+    # positive diagonal, but the trailing pair [[a, b], [b, a]] has the
+    # eigenvalue a - b ~ -2e-6 while its diagonal 2a stays below the stop
+    a = np.diag([0.5] * 6 + [1e-17, 1e-17])
+    a[6, 7] = a[7, 6] = 2e-6
+    return a
+
+
+def _rotated_negative():
+    u, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((12, 12)))
+    return (u * np.array([0.9, 0.6, 0.3, -2e-6] + [0.0] * 8)) @ u.T
+
+
+@pytest.mark.parametrize("make", [_hidden_negative_pair, _rotated_negative])
+def test_indefinite_matrix_raises(make):
+    a = make()
+    assert np.all(np.diag(a) > 0.0)
+    assert np.linalg.eigvalsh(a)[0] < -1e-6
+    with pytest.raises(exact.SpectrumRangeError):
+        exact.spectrum(_bare(a))
+    with pytest.raises(exact.SpectrumRangeError):
+        exact.eigensystem(_bare(a))
+
+
+def test_eigensolve_rejects_non_finite_matrix():
+    with pytest.raises(ValueError):
+        exact.spectrum(_bare([[0.5, math.nan], [math.nan, 0.5]]))
+
+
+def test_spectrum_json_reports_rank_and_truncated_mass():
+    s = exact.spectrum(exact.discretize(SINE, Interval(0.0, 1.0), 64))
+    payload = s.to_json_dict()
+    assert set(payload) == {"eigenvalues", "raw_out_of_range", "rank", "truncated_mass"}
+    assert payload["rank"] == s.rank < 64 and payload["truncated_mass"] == s.truncated_mass > 0.0
+    assert exact.Spectrum(np.array([0.5, 0.1]), 0.0).to_json_dict()["rank"] == 2
+
+
+def test_count_distribution_counts_the_dropped_rank():
+    s = exact.Spectrum(np.array([0.9, 0.5, 1e-17, 0.0, 0.0]), 1e-15, 3e-14, rank=3)
+    c = exact.count_distribution(s)
+    assert c.pmf.size == 3
+    assert c.n_truncated == 3     # one tiny retained value plus the two dropped slots
+    assert c.truncation_error_bound == pytest.approx(1e-17 + 1e-15 + 3e-14, rel=1e-15)
+
+
+# ---------------------------------------------------------------------------
 # counting distribution
 # ---------------------------------------------------------------------------
 

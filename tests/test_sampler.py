@@ -145,6 +145,42 @@ def test_shard_stability():
     assert full == shard_a + shard_b
 
 
+def test_draws_match_padded_eigh_eigensystem():
+    # the same index lists as from np.linalg.eigh's eigenpairs, kept to the
+    # solved rank and padded with zeros the way exact.eigensystem pads
+    d = exact.discretize(SINE, Interval(-3.0, 3.0), 128)
+    s, vectors = exact.eigensystem(d)
+    values, basis = np.linalg.eigh(d.matrix)
+    r = s.rank
+    lams = np.zeros(values.size)
+    lams[:r] = np.clip(values[::-1][:r], 0.0, 1.0)
+    ref = np.zeros_like(basis)
+    ref[:, :r] = basis[:, ::-1][:, :r]
+    for i in range(10_000):
+        assert (sampler._draw_configuration(s.eigenvalues, vectors, 17, i)
+                == sampler._draw_configuration(lams, ref, 17, i)), i
+
+
+def test_sample_reuses_a_given_system(monkeypatch):
+    win = Interval(0.0, 1.0)
+    system = sampler.solve(SINE, win, 48)
+    plain = sampler.sample(SINE, win, 48, 100, seed=3)
+    monkeypatch.setattr(exact, "eigensystem", None)   # a second solve would fail
+    assert sampler.sample(SINE, win, 48, 100, seed=3, system=system).to_jsonl() \
+        == plain.to_jsonl()
+    for window, order in ((Interval(0.0, 2.0), 48), (win, 64)):
+        with pytest.raises(ValueError):
+            sampler.sample(SINE, window, order, 10, seed=3, system=system)
+
+
+def test_na_probe_with_a_given_system_matches_its_own_solve():
+    c1, c2 = Interval(0.0, 0.4), Interval(0.4, 1.0)
+    system = sampler.solve(SINE, Interval(0.0, 1.0), 48)
+    args = (SINE, c1, c2, 2, 300, 8)
+    assert (sampler.negative_association_probe(*args, order=48, system=system)
+            == sampler.negative_association_probe(*args, order=48))
+
+
 def test_batch_layout_matches_configurations():
     batch = sampler.sample(SINE, Interval(-1.0, 2.0), 64, 300, seed=13)
     assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.indices.size
