@@ -1,11 +1,20 @@
 """Discrete DPP sampling on quadrature nodes and pair-functional statistics.
 
 Sampling is the two-stage scheme on the Nystrom nodes: Bernoulli coins on
-the eigenvalues select eigenvectors, then the projection chain rule picks
-exactly that many nodes (probability proportional to the running projection
-diagonal, deflating after each pick).  Randomness is counter-based
-(numpy Philox, one stream per configuration keyed by the global index), so
-batches are reproducible and shard-stable across worker counts.
+the eigenvalues select m eigenvectors, then the projection chain rule
+(Hough-Krishnapur-Peres-Virag) picks exactly m nodes, with probability
+proportional to the running projection diagonal, deflating after each pick.
+
+Randomness is counter-based: configuration k reads its own numpy Philox
+stream keyed (seed, k), first n coin doubles and then one pick double per
+step, so batches are reproducible and shard-stable across worker counts.
+
+The draw runs block-wise.  A block of configurations fills one row of 2n
+doubles per stream; the coins give each configuration its m; the block's
+configurations are grouped by m; and each group runs its m chain-rule steps
+once, on a stacked (configurations, nodes, m) array, with the operations of
+a one-at-a-time draw in the same order, so the picks are those of a
+per-configuration loop.
 """
 
 import inspect
@@ -221,31 +230,70 @@ class SampleBatch:
         return "\n".join(json.dumps(cfg) for cfg in self.configurations) + "\n"
 
 
-def _config_stream(seed, index):
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)],
-                   dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+_BLOCK = 128   # configurations per block: bounds the temporaries of draws and S_q
+
+
+def _draw_range(lams, vectors, seed, start, stop):
+    """Configurations start..stop-1 as (flat node indices, offsets).
+
+    Configuration k reads its own Philox stream keyed (seed, k): n coin
+    doubles, then one pick double per chain-rule step.  Resetting the
+    generator's state to that key, counter 0 and an empty buffer gives the
+    same doubles as a fresh Philox(key=(seed, k)).
+    """
+    n = lams.size
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
+    zeros = np.zeros(4, dtype=np.uint64)
+    bitgen = np.random.Philox(key=key)
+    gen = np.random.Generator(bitgen)
+    rows = np.empty((_BLOCK, 2 * n))      # n coins, then up to n pick doubles
+    node = np.arange(n)[None, :, None]
+    sizes = np.empty(stop - start, dtype=np.intp)
+    parts = [np.empty(0, dtype=np.intp)]
+    for first in range(start, stop, _BLOCK):
+        count = min(_BLOCK, stop - first)
+        for j in range(count):
+            key[1] = first + j
+            bitgen.state = {"bit_generator": "Philox",
+                            "state": {"counter": zeros, "key": key},
+                            "buffer": zeros, "buffer_pos": 4,
+                            "has_uint32": 0, "uinteger": 0}
+            gen.random(out=rows[j])
+        sel = rows[:count, :n] < lams
+        ms = np.count_nonzero(sel, axis=1)
+        sizes[first - start:first - start + count] = ms
+        ends = np.cumsum(ms)
+        starts = ends - ms
+        out = np.empty(ends[-1], dtype=np.intp)
+        for m in np.flatnonzero(np.bincount(ms)):      # an m = 0 group takes no step
+            members = np.flatnonzero(ms == m)
+            g = np.arange(members.size)
+            cols = np.nonzero(sel[members])[1].reshape(members.size, m)
+            v = vectors[node, cols[:, None, :]]         # (g, n, m), C order
+            outer = np.empty_like(v)
+            picks = np.empty((members.size, m), dtype=np.intp)
+            for step in range(m):
+                diag = np.einsum("gij,gij->gi", v, v)
+                np.clip(diag, 0.0, None, out=diag)
+                cum = np.cumsum(diag, axis=1)
+                r = rows[members, n + step] * cum[:, -1]
+                # the count is searchsorted(cum, r) on each nondecreasing row
+                i = np.minimum(np.count_nonzero(cum < r[:, None], axis=1), n - 1)
+                picks[:, step] = i
+                vi = v[g, i]
+                w = np.matmul(v, vi[:, :, None])
+                np.multiply(w, vi[:, None, :], out=outer)
+                np.divide(outer, diag[g, i][:, None, None], out=outer)
+                v -= outer
+            picks.sort(axis=1)  # the nodes increase strictly, so this is point order
+            out[starts[members, None] + np.arange(m)] = picks
+        parts.append(out)
+    return np.concatenate(parts), np.r_[0, np.cumsum(sizes)]
 
 
 def _draw_configuration(lams, vectors, seed, index):
-    rng = _config_stream(seed, index)
-    coins = rng.random(lams.size)
-    sel = coins < lams
-    m = int(np.count_nonzero(sel))
-    if m == 0:
-        return []
-    v = vectors[:, sel].copy()
-    picked = []
-    for step in range(m):
-        diag = np.einsum("ij,ij->i", v, v)
-        np.clip(diag, 0.0, None, out=diag)
-        cum = np.cumsum(diag)
-        r = rng.random() * cum[-1]
-        i = min(int(np.searchsorted(cum, r)), diag.size - 1)
-        picked.append(i)
-        w = v @ v[i]
-        v -= np.outer(w, v[i]) / diag[i]
-    return sorted(picked)  # the nodes increase strictly, so this is point order
+    """Configuration `index` as a list of node indices."""
+    return _draw_range(lams, vectors, seed, index, index + 1)[0].tolist()
 
 
 def solve(spec, window, order):
@@ -260,16 +308,15 @@ def sample(spec, window, order, count, seed, system=None):
     `system` is the `solve(spec, window, order)` triple when the caller
     already has it; otherwise it is solved here.
     """
+    if int(count) < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
     if system is None:
         system = solve(spec, window, order)
     d, s, vectors = system
     if d.window != (float(window.a), float(window.b)) or d.matrix.shape[0] != int(order):
         raise ValueError(f"the system was solved on {d.window} at order "
                          f"{d.matrix.shape[0]}, not on the requested window and order")
-    configs = [_draw_configuration(s.eigenvalues, vectors, int(seed), i)
-               for i in range(int(count))]
-    indices = np.array([i for cfg in configs for i in cfg], dtype=np.intp)
-    offsets = np.cumsum([0] + [len(cfg) for cfg in configs])
+    indices, offsets = _draw_range(s.eigenvalues, vectors, int(seed), 0, int(count))
     return SampleBatch(int(seed), d.rule, indices, offsets, s)
 
 
@@ -284,8 +331,14 @@ def mc_exp_moment(batch, q, lam):
     """(mean, stderr) of exp(lam * S_q) over the batch configurations."""
     lam = float(lam)
     table = _pair_table(q, batch.node_rule.nodes)
-    idx, off = batch.indices, batch.offsets.tolist()
-    svals = np.array([np.sum(table[np.ix_(idx[a:b], idx[a:b])]) for a, b in zip(off, off[1:])])
+    sizes = np.diff(batch.offsets)
+    svals = np.zeros(sizes.size)
+    for first in range(0, sizes.size, _BLOCK):
+        block = sizes[first:first + _BLOCK]
+        for m in np.flatnonzero(np.bincount(block)):  # one gather per size m
+            members = first + np.flatnonzero(block == m)
+            cols = batch.indices[batch.offsets[members, None] + np.arange(m)]
+            svals[members] = table[cols[:, :, None], cols[:, None, :]].sum(axis=(1, 2))
     guard = lam * float(np.max(np.abs(svals))) if svals.size else 0.0
     if guard >= 500.0:
         raise OverflowGuardError(

@@ -145,6 +145,88 @@ def test_shard_stability():
     assert full == shard_a + shard_b
 
 
+def _reference_draw(lams, vectors, seed, index):
+    """One configuration by the per-configuration chain-rule loop: the oracle
+    for the block-wise draw (same stream, same operations, one at a time)."""
+    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(index)],
+                   dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    coins = rng.random(lams.size)
+    sel = coins < lams
+    m = int(np.count_nonzero(sel))
+    if m == 0:
+        return []
+    v = vectors[:, sel].copy()
+    picked = []
+    for step in range(m):
+        diag = np.einsum("ij,ij->i", v, v)
+        np.clip(diag, 0.0, None, out=diag)
+        cum = np.cumsum(diag)
+        r = rng.random() * cum[-1]
+        i = min(int(np.searchsorted(cum, r)), diag.size - 1)
+        picked.append(i)
+        w = v @ v[i]
+        v -= np.outer(w, v[i]) / diag[i]
+    return sorted(picked)
+
+
+def _index_lists(indices, offsets):
+    idx, off = indices.tolist(), offsets.tolist()
+    return [idx[a:b] for a, b in zip(off, off[1:])]
+
+
+@pytest.mark.parametrize("window, order, count", [((-3.0, 3.0), 128, 20_000),
+                                                  ((0.0, 20.0), 256, 2_000)])
+def test_block_draws_match_per_configuration_loop(window, order, count):
+    # mean count 6 (many small groups) and 20 (large groups per block)
+    _, s, vectors = sampler.solve(SINE, Interval(*window), order)
+    got = _index_lists(*sampler._draw_range(s.eigenvalues, vectors, 29, 0, count))
+    for k, cfg in enumerate(got):
+        assert cfg == _reference_draw(s.eigenvalues, vectors, 29, k), k
+
+
+def test_block_draw_shards_across_a_block_boundary():
+    _, s, vectors = sampler.solve(SINE, Interval(-1.0, 2.0), 64)
+    a, b = sampler._BLOCK + 37, 3 * sampler._BLOCK + 5
+    parts = [sampler._draw_range(s.eigenvalues, vectors, 7, lo, hi)
+             for lo, hi in ((0, a), (a, b), (0, b))]
+    first, second, whole = (_index_lists(*p) for p in parts)
+    assert first + second == whole
+
+
+def test_block_draws_projection_system_every_size_three():
+    # lambda = 1, 1, 1, 0, ...: every coin pass selects the same three
+    # eigenvectors, so each block is a single group with m = 3
+    n = 40
+    vectors, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
+    lams = np.zeros(n)
+    lams[:3] = 1.0
+    count = 3 * sampler._BLOCK + 17
+    indices, offsets = sampler._draw_range(lams, vectors, 5, 0, count)
+    assert np.array_equal(offsets, 3 * np.arange(count + 1))
+    got = _index_lists(indices, offsets)
+    assert all(len(set(cfg)) == 3 for cfg in got)
+    for k, cfg in enumerate(got):
+        assert cfg == _reference_draw(lams, vectors, 5, k), k
+
+
+def test_block_draws_empty_system():
+    n = 16
+    indices, offsets = sampler._draw_range(np.zeros(n), np.eye(n), 5, 0, 300)
+    assert indices.size == 0 and np.array_equal(offsets, np.zeros(301))
+
+
+def test_sample_count_zero_is_an_empty_batch():
+    batch = sampler.sample(SINE, Interval(0.0, 1.0), 32, 0, seed=1)
+    assert batch.indices.size == 0 and batch.offsets.tolist() == [0]
+    assert batch.configurations == []
+
+
+def test_sample_negative_count_raises():
+    with pytest.raises(ValueError, match="count"):
+        sampler.sample(SINE, Interval(0.0, 1.0), 32, -1, seed=1)
+
+
 def test_draws_match_padded_eigh_eigensystem():
     # the same index lists as from np.linalg.eigh's eigenpairs, kept to the
     # solved rank and padded with zeros the way exact.eigensystem pads
