@@ -2,8 +2,9 @@
 
 Sampling is the two-stage scheme on the Nystrom nodes: Bernoulli coins on
 the eigenvalues select m eigenvectors, then the projection chain rule
-(Hough-Krishnapur-Peres-Virag) picks exactly m nodes, with probability
-proportional to the running projection diagonal, deflating after each pick.
+(Hough-Krishnapur-Peres-Virag) in its Gram-Schmidt form picks exactly m
+nodes, each with probability proportional to the diagonal of the projection
+kernel conditioned on the nodes already picked.
 
 Randomness is counter-based: configuration k reads its own numpy Philox
 stream keyed (seed, k), first n coin doubles and then one pick double per
@@ -12,9 +13,7 @@ step, so batches are reproducible and shard-stable across worker counts.
 The draw runs block-wise.  A block of configurations fills one row of 2n
 doubles per stream; the coins give each configuration its m; the block's
 configurations are grouped by m; and each group runs its m chain-rule steps
-once, on a stacked (configurations, nodes, m) array, with the operations of
-a one-at-a-time draw in the same order, so the picks are those of a
-per-configuration loop.
+once, on a stacked (configurations, m, nodes) array of eigenvector rows.
 """
 
 import inspect
@@ -240,6 +239,10 @@ def _draw_range(lams, vectors, seed, start, stop):
     doubles, then one pick double per chain-rule step.  Resetting the
     generator's state to that key, counter 0 and an empty buffer gives the
     same doubles as a fresh Philox(key=(seed, k)).
+
+    Each group of equal m keeps the running diagonal d of K = V V^T and an
+    orthonormal e_1..e_m: step k picks x with weight d(x), then sets
+    e_k = (K(:, x) - sum_{j<k} e_j(x) e_j) / sqrt(d(x)) and d -= e_k^2.
     """
     n = lams.size
     key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
@@ -247,7 +250,8 @@ def _draw_range(lams, vectors, seed, start, stop):
     bitgen = np.random.Philox(key=key)
     gen = np.random.Generator(bitgen)
     rows = np.empty((_BLOCK, 2 * n))      # n coins, then up to n pick doubles
-    node = np.arange(n)[None, :, None]
+    live = np.flatnonzero(lams > 0.0)     # coins lie in [0, 1): no other column is picked
+    vt = np.ascontiguousarray(vectors[:, live].T)
     sizes = np.empty(stop - start, dtype=np.intp)
     parts = [np.empty(0, dtype=np.intp)]
     for first in range(start, stop, _BLOCK):
@@ -259,7 +263,7 @@ def _draw_range(lams, vectors, seed, start, stop):
                             "buffer": zeros, "buffer_pos": 4,
                             "has_uint32": 0, "uinteger": 0}
             gen.random(out=rows[j])
-        sel = rows[:count, :n] < lams
+        sel = rows[:count, live] < lams[live]
         ms = np.count_nonzero(sel, axis=1)
         sizes[first - start:first - start + count] = ms
         ends = np.cumsum(ms)
@@ -267,33 +271,29 @@ def _draw_range(lams, vectors, seed, start, stop):
         out = np.empty(ends[-1], dtype=np.intp)
         for m in np.flatnonzero(np.bincount(ms)):      # an m = 0 group takes no step
             members = np.flatnonzero(ms == m)
-            g = np.arange(members.size)
+            g = np.arange(members.size)[:, None]
             cols = np.nonzero(sel[members])[1].reshape(members.size, m)
-            v = vectors[node, cols[:, None, :]]         # (g, n, m), C order
-            outer = np.empty_like(v)
+            v = vt[cols]                                # (g, m, n)
+            d = np.einsum("gij,gij->gj", v, v)
+            e = np.empty_like(v)
             picks = np.empty((members.size, m), dtype=np.intp)
             for step in range(m):
-                diag = np.einsum("gij,gij->gi", v, v)
-                np.clip(diag, 0.0, None, out=diag)
-                cum = np.cumsum(diag, axis=1)
-                r = rows[members, n + step] * cum[:, -1]
+                np.maximum(d, 0.0, out=d)
+                cum = np.add.accumulate(d, axis=1)
+                r = rows[members, n + step][:, None] * cum[:, -1:]
                 # the count is searchsorted(cum, r) on each nondecreasing row
-                i = np.minimum(np.count_nonzero(cum < r[:, None], axis=1), n - 1)
-                picks[:, step] = i
-                vi = v[g, i]
-                w = np.matmul(v, vi[:, :, None])
-                np.multiply(w, vi[:, None, :], out=outer)
-                np.divide(outer, diag[g, i][:, None, None], out=outer)
-                v -= outer
+                i = np.minimum(np.add.reduce(cum < r, axis=1), n - 1)[:, None]
+                picks[:, step:step + 1] = i
+                col = e[:, step:step + 1]      # e_k, built in place
+                np.matmul(vt[cols[:, None, :], i[:, :, None]], v, out=col)
+                if step:
+                    col -= np.matmul(e[g, :step, i], e[:, :step])
+                col /= np.sqrt(d[g, i])[:, :, None]
+                d -= np.square(col[:, 0])
             picks.sort(axis=1)  # the nodes increase strictly, so this is point order
             out[starts[members, None] + np.arange(m)] = picks
         parts.append(out)
     return np.concatenate(parts), np.r_[0, np.cumsum(sizes)]
-
-
-def _draw_configuration(lams, vectors, seed, index):
-    """Configuration `index` as a list of node indices."""
-    return _draw_range(lams, vectors, seed, index, index + 1)[0].tolist()
 
 
 def solve(spec, window, order):

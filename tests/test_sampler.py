@@ -136,12 +136,9 @@ def test_shard_stability():
     # drawing configurations in two shards must reproduce the batch exactly
     d = exact.discretize(SINE, Interval(0.0, 1.0), 64)
     s, vectors = exact.eigensystem(d)
-    full = [sampler._draw_configuration(s.eigenvalues, vectors, 7, i)
-            for i in range(40)]
-    shard_a = [sampler._draw_configuration(s.eigenvalues, vectors, 7, i)
-               for i in range(20)]
-    shard_b = [sampler._draw_configuration(s.eigenvalues, vectors, 7, i)
-               for i in range(20, 40)]
+    full, shard_a, shard_b = (
+        _index_lists(*sampler._draw_range(s.eigenvalues, vectors, 7, lo, hi))
+        for lo, hi in ((0, 40), (0, 20), (20, 40)))
     assert full == shard_a + shard_b
 
 
@@ -183,6 +180,46 @@ def test_block_draws_match_per_configuration_loop(window, order, count):
     got = _index_lists(*sampler._draw_range(s.eigenvalues, vectors, 29, 0, count))
     for k, cfg in enumerate(got):
         assert cfg == _reference_draw(s.eigenvalues, vectors, 29, k), k
+
+
+@pytest.mark.parametrize("kernel, window, order", [("airy", (-6.0, 0.0), 128),
+                                                   ("bessel:s=0.5", (0.5, 4.0), 96),
+                                                   ("sine", (0.0, 2.0), 512)])
+def test_block_draws_match_per_configuration_loop_other_systems(kernel, window, order):
+    # an indefinite Gram (airy), mostly m <= 1 (bessel), m ~ 2 at order 512 (sine)
+    _, s, vectors = sampler.solve(kernels.make_kernel(kernel), Interval(*window), order)
+    got = _index_lists(*sampler._draw_range(s.eigenvalues, vectors, 29, 0, 5_000))
+    for k, cfg in enumerate(got):
+        assert cfg == _reference_draw(s.eigenvalues, vectors, 29, k), k
+
+
+def test_block_draws_follow_the_discrete_dpp_law():
+    # K = V diag(lams) V^T on 8 points: P(i in X) = K_ii and
+    # P(i, j in X) = K_ii K_jj - K_ij^2; Bonferroni over 8 + 28 two-sided z-tests
+    n, count, z = 8, 20_000, 4.3
+    assert 36 * math.erfc(z / math.sqrt(2.0)) <= 1e-3
+    rng = np.random.default_rng(808)
+    vectors, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lams = rng.uniform(0.05, 0.95, n)
+    kmat = (vectors * lams) @ vectors.T
+    indices, offsets = sampler._draw_range(lams, vectors, 41, 0, count)
+    member = np.zeros((count, n))
+    member[np.repeat(np.arange(count), np.diff(offsets)), indices] = 1.0
+    observed = member.T @ member / count          # diagonal: single inclusions
+    expected = np.outer(np.diag(kmat), np.diag(kmat)) - kmat ** 2
+    np.fill_diagonal(expected, np.diag(kmat))
+    sigma = np.sqrt(expected * (1.0 - expected) / count)
+    upper = np.triu_indices(n)
+    assert np.all(np.abs(observed - expected)[upper] <= z * sigma[upper])
+
+
+@pytest.mark.parametrize("n", [8, 24])
+def test_block_draws_full_rank_projection_take_every_node(n):
+    vectors, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
+    count = 2 * sampler._BLOCK + 3
+    indices, offsets = sampler._draw_range(np.ones(n), vectors, 9, 0, count)
+    assert np.array_equal(offsets, n * np.arange(count + 1))
+    assert all(cfg == list(range(n)) for cfg in _index_lists(indices, offsets))
 
 
 def test_block_draw_shards_across_a_block_boundary():
@@ -238,9 +275,11 @@ def test_draws_match_padded_eigh_eigensystem():
     lams[:r] = np.clip(values[::-1][:r], 0.0, 1.0)
     ref = np.zeros_like(basis)
     ref[:, :r] = basis[:, ::-1][:, :r]
-    for i in range(10_000):
-        assert (sampler._draw_configuration(s.eigenvalues, vectors, 17, i)
-                == sampler._draw_configuration(lams, ref, 17, i)), i
+    got = _index_lists(*sampler._draw_range(s.eigenvalues, vectors, 17, 0, 10_000))
+    want = _index_lists(*sampler._draw_range(lams, ref, 17, 0, 10_000))
+    assert len(got) == len(want) == 10_000
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a == b, i
 
 
 def test_sample_reuses_a_given_system(monkeypatch):
