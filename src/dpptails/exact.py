@@ -518,10 +518,10 @@ def correlation_function(spec, points):
     if n > 16:
         raise ValueError("correlation_function supports n <= 16")
     if getattr(spec, "block_size", 1) == 2:
-        big = np.zeros((2 * n, 2 * n))
-        for i in range(n):
-            for j in range(n):
-                big[2 * i:2 * i + 2, 2 * j:2 * j + 2] = _kernels.eval_matrix(spec, pts[i], pts[j])
+        p = np.array(pts)
+        # (n, n, 2, 2) blocks -> particle-major 2n x 2n
+        blocks = _kernels.eval_matrix(spec, p[:, None], p[None, :])
+        big = blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
         big = 0.5 * (big - big.T)
         return pfaffian(big)
     gram = _kernel_gram(spec, np.array(pts))

@@ -19,8 +19,6 @@ from .specfun import (
     _dd_add,
     _dd_div_d,
     _dd_mul,
-    airy_ai,
-    airy_ai_prime,
     airy_tail_integral,
     sinc,
     sinc_antiderivative,
@@ -126,38 +124,64 @@ def make_kernel(identifier):
 # which gives the diagonal by l'Hopital without numerical differentiation.
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=65536)
-def _bessel_series_triple(s, x):
-    """(phi, psi, chi) at x: sibling entire series in double-double."""
+_BESSEL_SERIES_TERMS = 300
+
+
+def _bessel_series(s, x):
+    """(phi, psi, chi) at one point (a float) or a 1-d array of points:
+    sibling entire series in double-double."""
     s = float(s)
-    x = float(x)
     q = -x / 4.0
+    root = specfun._per_point(lambda v: abs(v) ** 0.5, x)
     sums = []
     for shift in (1.0, 2.0, 3.0):
-        th, tl = math.exp(-math.lgamma(s + shift)), 0.0
-        sh, sl = th, tl
-        for m in range(1, 301):
-            th, tl = _dd_mul(th, tl, q, 0.0)
+        def step(k, st, shift=shift):
+            sh, sl, th, tl, qa, ra = st
+            m = k + 1
+            th, tl = _dd_mul(th, tl, qa, 0.0)
             th, tl = _dd_div_d(th, tl, float(m))
             th, tl = _dd_div_d(th, tl, m + s + shift - 1.0)
             sh, sl = _dd_add(sh, sl, th, tl)
-            if abs(th) < 1e-34 * (abs(sh) + 1e-300) and 4.0 * m > abs(x) ** 0.5:
-                break
-        else:
-            raise specfun.ConvergenceError("bessel kernel series did not converge")
+            return [sh, sl, th, tl, qa, ra]
+
+        def converged(k, st):
+            sh, _, th, _, _, ra = st
+            return (abs(th) < 1e-34 * (abs(sh) + 1e-300)) & (4.0 * (k + 1) > ra)
+
+        start = specfun._like(x, math.exp(-math.lgamma(s + shift)))
+        zero = specfun._like(x, 0.0)
+        sh, sl = specfun._iterate(step, converged, [start, zero, start, zero, q, root], 2,
+                                  _BESSEL_SERIES_TERMS, "bessel kernel series")
         sums.append(sh + sl)
     return tuple(sums)
 
 
-def _bessel_reduced_diag(s, x):
-    phi, psi, chi = _bessel_series_triple(s, x)
+def _bessel_series_triples(s, xs):
+    """(phi, psi, chi) arrays at the points xs: one series run over the
+    distinct points, or the cached one-point runs below _MIN_BATCH points;
+    bit-identical to `_bessel_series_triple` either way."""
+    pts, inv = np.unique(np.asarray(xs, dtype=float).ravel(), return_inverse=True)
+    if pts.size < specfun._MIN_BATCH:
+        rows = np.array([_bessel_series_triple(s, v) for v in pts.tolist()]).reshape(-1, 3)
+        return tuple(rows.T[:, inv])
+    return tuple(v[inv] for v in _bessel_series(s, pts))
+
+
+@lru_cache(maxsize=65536)
+def _bessel_series_triple(s, x):
+    """(phi, psi, chi) at one point, cached."""
+    return _bessel_series(s, float(x))
+
+
+def _bessel_reduced_diag(x, phi, psi, chi):
     # g' phi - g phi' with g = (x/4) psi, phi' = -psi/4, psi' = -chi/4
     return 0.25 * phi * psi - (x / 16.0) * phi * chi + (x / 16.0) * psi * psi
 
 
 def _bessel_reduced(s, x, y):
     if abs(x - y) < _DIAG_BAND * (1.0 + abs(x)):
-        return _bessel_reduced_diag(s, 0.5 * (x + y))
+        mid = 0.5 * (x + y)
+        return _bessel_reduced_diag(mid, *_bessel_series_triple(s, mid))
     phix, psix, _ = _bessel_series_triple(s, x)
     phiy, psiy, _ = _bessel_series_triple(s, y)
     gx = (x / 4.0) * psix
@@ -175,40 +199,62 @@ def _bessel_rho(s, x):
 # Airy kernel pieces
 # ---------------------------------------------------------------------------
 
-def _airy_kernel_diag(x):
-    ai, aip = specfun._airy_pair(x)
+def _airy_kernel_diag(x, ai, aip):
     return aip * aip - x * ai * ai
 
 
+def _near_diagonal(x, y):
+    return np.abs(x - y) < _DIAG_BAND * (1.0 + np.abs(x))
+
+
 def _airy_kernel(x, y):
-    if abs(x - y) < _DIAG_BAND * (1.0 + abs(x)):
-        return _airy_kernel_diag(0.5 * (x + y))
-    aix, aipx = specfun._airy_pair(x)
-    aiy, aipy = specfun._airy_pair(y)
-    return (aix * aipy - aiy * aipx) / (x - y)
+    """Airy kernel on 1-d arrays of point pairs; pairs closer than the band
+    take the diagonal formula at their midpoint."""
+    band = _near_diagonal(x, y)
+    off = ~band
+    xo, yo, mid = x[off], y[off], 0.5 * (x[band] + y[band])
+    ai, aip = specfun._airy_pairs(np.concatenate([xo, yo, mid]))
+    k = xo.size
+    aix, aiy, aim = ai[:k], ai[k:2 * k], ai[2 * k:]
+    aipx, aipy, aipm = aip[:k], aip[k:2 * k], aip[2 * k:]
+    out = np.empty(x.shape)
+    out[off] = (aix * aipy - aiy * aipx) / (xo - yo)
+    out[band] = _airy_kernel_diag(mid, aim, aipm)
+    return out
 
 
 def _airy_kernel_dy(x, y):
-    """partial_y of the Airy kernel, Taylor-switched near the diagonal."""
-    if abs(x - y) < _DIAG_BAND * (1.0 + abs(x)):
-        ai, aip = specfun._airy_pair(x)
-        n2 = ai * ai
-        n3 = ai * aip + x * x * n2 - x * aip * aip
-        return -0.5 * n2 - (n3 / 3.0) * (y - x)
-    aix, aipx = specfun._airy_pair(x)
-    aiy, aipy = specfun._airy_pair(y)
-    d = x - y
-    return (aix * y * aiy - aipx * aipy) / d + (aix * aipy - aiy * aipx) / (d * d)
+    """partial_y of the Airy kernel on 1-d arrays of point pairs,
+    Taylor-switched near the diagonal."""
+    band = _near_diagonal(x, y)
+    off = ~band
+    ai, aip = specfun._airy_pairs(np.concatenate([x, y[off]]))
+    aix, aipx = ai[:x.size], aip[:x.size]
+    aiy, aipy = ai[x.size:], aip[x.size:]
+    out = np.empty(x.shape)
+    xb, yb, ab, apb = x[band], y[band], aix[band], aipx[band]
+    n2 = ab * ab
+    n3 = ab * apb + xb * xb * n2 - xb * apb * apb
+    out[band] = -0.5 * n2 - (n3 / 3.0) * (yb - xb)
+    xo, yo, ao, apo = x[off], y[off], aix[off], aipx[off]
+    d = xo - yo
+    out[off] = (ao * yo * aiy - apo * aipy) / d + (ao * aipy - aiy * apo) / (d * d)
+    return out
 
 
 _AIRY_TAIL_CUT = 14.5  # |Ai| < 1e-17 beyond; truncation negligible
 
 
 def _airy_kernel_tail_integral(x, y, tol=1e-11):
-    """int_x^infinity of the Airy kernel's first slot against fixed y."""
-    if x >= _AIRY_TAIL_CUT:
-        return 0.0
-    return specfun.adaptive_quadrature(lambda u: _airy_kernel(u, y), x, _AIRY_TAIL_CUT, tol)
+    """int_x^infinity of the Airy kernel's first slot against fixed y, for
+    1-d arrays of pairs (x, y), as one quadrature batch."""
+    def integrand(owner, u):
+        fixed = np.repeat(y[owner], u.shape[1])
+        return _airy_kernel(u.ravel(), fixed).reshape(u.shape)
+
+    # x >= the cut gives an empty interval, whose integral is 0
+    return specfun._adaptive_quadrature_batch(
+        integrand, np.minimum(x, _AIRY_TAIL_CUT), np.full(x.shape, _AIRY_TAIL_CUT), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -243,36 +289,46 @@ def eval_scalar(spec, x, y):
     if spec.kind == "sine":
         return float(sinc(abs(x - y)))
     if spec.kind == "airy":
-        return _airy_kernel(x, y)
+        return float(_airy_kernel(np.array([x]), np.array([y]))[0])
     s = spec.bessel_s
     return _bessel_rho(s, x) * _bessel_rho(s, y) * _bessel_reduced(s, x, y)
 
 
 def eval_matrix(spec, x, y):
-    """2x2 block K(x, y) of a Pfaffian kernel; K(x,y) = -K(y,x)^T."""
+    """2x2 block K(x, y) of a Pfaffian kernel; K(x,y) = -K(y,x)^T.
+
+    x and y broadcast against each other; the result has shape
+    broadcast shape + (2, 2), a single (2, 2) block for scalar points.
+    Every block is bit-identical to evaluating its pair alone.
+    """
     if spec.block_size != 2:
         raise DomainError(f"eval_matrix needs a block kernel, got {spec.identifier}")
-    x, y = float(x), float(y)
+    xb, yb = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    shape = xb.shape
+    x, y = xb.ravel(), yb.ravel()
     if spec.kind == "sine4":
         t = x - y
         s = sinc(t)
-        return 0.5 * np.array([
-            [-sinc_antiderivative(t), s],
-            [-s, sinc_derivative(t)],
-        ])
-    # airy4: Tracy-Widom entries built from the scalar Airy kernel
-    for p in (x, y):
-        if p < -10.0 or p > 15.0:
-            raise DomainError(f"airy4 kernel working range is [-10, 15], got {p}")
-    px = airy_tail_integral(x)
-    py = airy_tail_integral(y)
-    aix = airy_ai(x)
-    aiy = airy_ai(y)
-    a11 = -0.5 * _airy_kernel_tail_integral(x, y) + 0.25 * px * py
-    a22 = 0.5 * _airy_kernel_dy(x, y) + 0.25 * aix * aiy
-    a12 = 0.5 * _airy_kernel(x, y) - 0.25 * aiy * px
-    a21 = -(0.5 * _airy_kernel(y, x) - 0.25 * aix * py)
-    return np.array([[a11, a12], [a21, a22]])
+        entries = 0.5 * np.stack([-sinc_antiderivative(t), s, -s, sinc_derivative(t)], axis=-1)
+    else:
+        # airy4: Tracy-Widom entries built from the scalar Airy kernel
+        for p in (x, y):
+            bad = (p < -10.0) | (p > 15.0)
+            if bad.any():
+                raise DomainError(
+                    f"airy4 kernel working range is [-10, 15], got {p[bad][0]}")
+        n = x.size
+        both = np.concatenate([x, y])
+        tail = airy_tail_integral(both)
+        ai = specfun._airy_pairs(both)[0]
+        kern = _airy_kernel(both, np.concatenate([y, x]))
+        px, py, aix, aiy = tail[:n], tail[n:], ai[:n], ai[n:]
+        a11 = -0.5 * _airy_kernel_tail_integral(x, y) + 0.25 * px * py
+        a22 = 0.5 * _airy_kernel_dy(x, y) + 0.25 * aix * aiy
+        a12 = 0.5 * kern[:n] - 0.25 * aiy * px
+        a21 = -(0.5 * kern[n:] - 0.25 * aix * py)
+        entries = np.stack([a11, a12, a21, a22], axis=-1)
+    return entries.reshape(shape + (2, 2))
 
 
 def eval_complex(spec, z, w):
@@ -292,30 +348,24 @@ def kernel_matrix(spec, xs):
     n = xs.size
     if spec.kind == "sine":
         return sinc(np.abs(xs[:, None] - xs[None, :]))
-    if spec.kind == "airy":
-        ai = specfun._airy_ai_array(xs)
-        aip = specfun._airy_aip_array(xs)
-        num = ai[:, None] * aip[None, :] - ai[None, :] * aip[:, None]
-        dx = xs[:, None] - xs[None, :]
-        band = np.abs(dx) < _DIAG_BAND * (1.0 + np.abs(xs)[:, None])
-        out = np.divide(num, dx, out=np.zeros((n, n)), where=~band)
-        if np.any(band):
-            ii, jj = np.nonzero(band)
-            for i, j in zip(ii, jj):
-                out[i, j] = _airy_kernel_diag(0.5 * (xs[i] + xs[j]))
-        return out
-    s = spec.bessel_s
-    trip = [_bessel_series_triple(s, float(v)) for v in xs]
-    phi = np.array([t[0] for t in trip])
-    g = (xs / 4.0) * np.array([t[1] for t in trip])
-    num = g[:, None] * phi[None, :] - g[None, :] * phi[:, None]
     dx = xs[:, None] - xs[None, :]
     band = np.abs(dx) < _DIAG_BAND * (1.0 + np.abs(xs)[:, None])
+    ii, jj = np.nonzero(band)
+    mid = 0.5 * (xs[ii] + xs[jj])
+    # one series run over the nodes and the band midpoints together
+    pts = np.concatenate([xs, mid])
+    if spec.kind == "airy":
+        ai, aip = specfun._airy_pairs(pts)
+        num = ai[:n, None] * aip[None, :n] - ai[None, :n] * aip[:n, None]
+        out = np.divide(num, dx, out=np.zeros((n, n)), where=~band)
+        out[ii, jj] = _airy_kernel_diag(mid, ai[n:], aip[n:])
+        return out
+    s = spec.bessel_s
+    phi, psi, chi = _bessel_series_triples(s, pts)
+    g = (xs / 4.0) * psi[:n]
+    num = g[:, None] * phi[None, :n] - g[None, :] * phi[:n, None]
     red = np.divide(num, dx, out=np.zeros((n, n)), where=~band)
-    if np.any(band):
-        ii, jj = np.nonzero(band)
-        for i, j in zip(ii, jj):
-            red[i, j] = _bessel_reduced_diag(s, 0.5 * (xs[i] + xs[j]))
+    red[ii, jj] = _bessel_reduced_diag(mid, phi[n:], psi[n:], chi[n:])
     rho = np.array([_bessel_rho(s, float(v)) for v in xs])
     return rho[:, None] * rho[None, :] * red
 
@@ -352,6 +402,9 @@ def _bessel_envelope_amplitude(s, b):
     return phi_p * dg + g_p * dphi
 
 
+_MAJORANT_TERMS = 200
+
+
 @lru_cache(maxsize=8)
 def _airy_global_majorants():
     """(C_A, C_Ap) with |Ai(w)| <= C_A e^{(2/3)|w|^{3/2}} and
@@ -362,27 +415,31 @@ def _airy_global_majorants():
     real axis, where the majorant H = c1 f + c2 g is evaluated directly.
     """
     c1, c2 = 0.3550280538878172, 0.2588194037928068
-    best_a = 0.0
-    best_ap = 0.0
-    for r in np.linspace(0.0, 30.0, 1201):
-        # positive-coefficient series for f, g, f', g' at +r (no cancellation)
-        x3 = r ** 3
-        tf, tg, tb, td = 1.0, r, 0.0, 1.0
-        f, g, fp, gp = 1.0, r, 0.0, 1.0
-        for k in range(0, 200):
-            tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-            tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-            tb = (r * r / 2.0) if k == 0 else tb * x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
-            td = td * x3 / ((3 * k + 1) * (3 * k + 3))
-            f += tf
-            g += tg
-            fp += tb
-            gp += td
-            if tf < 1e-18 * f and tg < 1e-18 * max(g, 1.0):
-                break
-        damp = math.exp(-(2.0 / 3.0) * r ** 1.5)
-        best_a = max(best_a, (c1 * f + c2 * g) * damp)
-        best_ap = max(best_ap, (c1 * fp + c2 * gp) * damp / (1.0 + r) ** 0.25)
+    r = np.linspace(0.0, 30.0, 1201)
+    rs = r.tolist()
+
+    def step(k, st):
+        f, g, fp, gp, tf, tg, tb, td, x3, rk = st
+        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
+        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
+        tb = (rk * rk / 2.0) if k == 0 else tb * x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
+        td = td * x3 / ((3 * k + 1) * (3 * k + 3))
+        return [f + tf, g + tg, fp + tb, gp + td, tf, tg, tb, td, x3, rk]
+
+    def converged(k, st):
+        f, g, _, _, tf, tg = st[:6]
+        return (tf < 1e-18 * f) & (tg < 1e-18 * np.maximum(g, 1.0))
+
+    # positive-coefficient series for f, g, f', g' at +r (no cancellation),
+    # one run over all r
+    one, zero = np.ones(r.size), np.zeros(r.size)
+    state = [one, r, zero, one, one, r, zero, one, np.array([v ** 3 for v in rs]), r]
+    f, g, fp, gp = specfun._iterate(step, converged, state, 4, _MAJORANT_TERMS,
+                                    "airy majorant series")
+    damp = np.array([math.exp(-(2.0 / 3.0) * v ** 1.5) for v in rs])
+    root4 = np.array([(1.0 + v) ** 0.25 for v in rs])
+    best_a = float(np.max((c1 * f + c2 * g) * damp))
+    best_ap = float(np.max((c1 * fp + c2 * gp) * damp / root4))
     return 1.02 * best_a, 1.02 * best_ap
 
 
@@ -396,9 +453,10 @@ def _airy_envelope_amplitude(a, b):
     """
     ca, cap = _airy_global_majorants()
     amp = 0.0
-    for p in np.linspace(a, b, 33):
+    ps = np.linspace(a, b, 33)
+    ai_all, aip_all = specfun._airy_pairs(ps)
+    for p, ai, aip in zip(ps, ai_all.tolist(), aip_all.tolist()):
         q = abs(p)
-        ai, aip = specfun._airy_pair(float(p))
         rmax = 4.0 * q + 80.0
         rr = np.linspace(0.0, rmax, 1600)
         grow = (2.0 / 3.0) * (q + rr) ** 1.5 - rr ** 1.5
@@ -416,15 +474,19 @@ def _airy4_envelope_amplitude(a, b):
     |entry(p, p+t)| e^{-|t|^{3/2}} over the window with a factor-2 margin,
     the validation mode used for all Airy constants.
     """
-    spec = make_kernel("airy4")
-    amp = 0.0
+    ps, ys, ts = [], [], []
     for p in np.linspace(a, b, 7):
         for t in np.linspace(-3.0, 3.0, 13):
             y = p + t
             if y < -10.0 or y > 14.0:
                 continue
-            block = eval_matrix(spec, float(p), float(y))
-            amp = max(amp, float(np.max(np.abs(block))) * math.exp(-abs(t) ** 1.5))
+            ps.append(float(p))
+            ys.append(float(y))
+            ts.append(t)
+    blocks = eval_matrix(make_kernel("airy4"), np.array(ps), np.array(ys))
+    amp = 0.0
+    for peak, t in zip(np.abs(blocks).max(axis=(1, 2)).tolist(), ts):
+        amp = max(amp, peak * math.exp(-abs(t) ** 1.5))
     return 2.0 * amp
 
 

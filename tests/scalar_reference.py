@@ -1,0 +1,123 @@
+"""One-point reference implementations kept as bit-for-bit oracles.
+
+These are the scalar loops that the array routines of `dpptails.specfun`
+and `dpptails.kernels` replace: the Airy Maclaurin series, the Bessel
+reduced-kernel series and depth-first adaptive quadrature.  The array
+routines must reproduce them to the last bit.
+"""
+
+import math
+
+import numpy as np
+
+from dpptails.specfun import (
+    ConvergenceError,
+    _C1,
+    _C2,
+    _dd_add,
+    _dd_div_d,
+    _dd_mul,
+    _dd_mul_d,
+    _two_prod,
+    gauss_legendre,
+)
+
+
+def airy_series(x):
+    """(Ai, Ai') at one point with |x| <= 9 via the two Maclaurin series."""
+    x = float(x)
+    # x^3 as a double-double
+    x2h, x2l = _two_prod(x, x)
+    x3h, x3l = _dd_mul(x2h, x2l, x, 0.0)
+
+    fh, fl = 1.0, 0.0          # f  = sum a_k x^{3k}
+    gh, gl = x, 0.0            # g  = sum c_k x^{3k+1}
+    tf_h, tf_l = 1.0, 0.0
+    tg_h, tg_l = x, 0.0
+    # derivative series: f' terms b_k (k>=1), g' terms d_k (k>=0)
+    fp_h, fp_l = 0.0, 0.0
+    gp_h, gp_l = 1.0, 0.0
+    tb_h, tb_l = 0.0, 0.0      # b_1 seeded below
+    td_h, td_l = 1.0, 0.0
+
+    for k in range(0, 140):
+        tf_h, tf_l = _dd_mul(tf_h, tf_l, x3h, x3l)
+        tf_h, tf_l = _dd_div_d(tf_h, tf_l, float((3 * k + 2) * (3 * k + 3)))
+        tg_h, tg_l = _dd_mul(tg_h, tg_l, x3h, x3l)
+        tg_h, tg_l = _dd_div_d(tg_h, tg_l, float((3 * k + 3) * (3 * k + 4)))
+        fh, fl = _dd_add(fh, fl, tf_h, tf_l)
+        gh, gl = _dd_add(gh, gl, tg_h, tg_l)
+
+        if k == 0:
+            tb_h, tb_l = _dd_div_d(x2h, x2l, 2.0)
+        else:
+            tb_h, tb_l = _dd_mul(tb_h, tb_l, x3h, x3l)
+            tb_h, tb_l = _dd_mul_d(tb_h, tb_l, float(k + 1))
+            tb_h, tb_l = _dd_div_d(tb_h, tb_l, float(k * (3 * k + 2) * (3 * k + 3)))
+        fp_h, fp_l = _dd_add(fp_h, fp_l, tb_h, tb_l)
+
+        td_h, td_l = _dd_mul(td_h, td_l, x3h, x3l)
+        td_h, td_l = _dd_div_d(td_h, td_l, float((3 * k + 1) * (3 * k + 3)))
+        gp_h, gp_l = _dd_add(gp_h, gp_l, td_h, td_l)
+
+        bound = max(abs(tf_h), abs(tg_h), abs(tb_h), abs(td_h))
+        scale = max(abs(fh), abs(gh), 1.0)
+        if bound < 1e-36 * scale and 27 * k * k * k > abs(x) ** 3:
+            break
+
+    aih, ail = _dd_add(*_dd_mul(_C1[0], _C1[1], fh, fl),
+                       *_dd_mul(-_C2[0], -_C2[1], gh, gl))
+    aph, apl = _dd_add(*_dd_mul(_C1[0], _C1[1], fp_h, fp_l),
+                       *_dd_mul(-_C2[0], -_C2[1], gp_h, gp_l))
+    return aih + ail, aph + apl
+
+
+def bessel_series_triple(s, x):
+    """(phi, psi, chi) at one point: sibling entire series in double-double."""
+    s = float(s)
+    x = float(x)
+    q = -x / 4.0
+    sums = []
+    for shift in (1.0, 2.0, 3.0):
+        th, tl = math.exp(-math.lgamma(s + shift)), 0.0
+        sh, sl = th, tl
+        for m in range(1, 301):
+            th, tl = _dd_mul(th, tl, q, 0.0)
+            th, tl = _dd_div_d(th, tl, float(m))
+            th, tl = _dd_div_d(th, tl, m + s + shift - 1.0)
+            sh, sl = _dd_add(sh, sl, th, tl)
+            if abs(th) < 1e-34 * (abs(sh) + 1e-300) and 4.0 * m > abs(x) ** 0.5:
+                break
+        else:
+            raise ConvergenceError("bessel kernel series did not converge")
+        sums.append(sh + sl)
+    return tuple(sums)
+
+
+def _panel(f, a, b):
+    rule = gauss_legendre(15, 0.0, 1.0)
+    x = a + (b - a) * rule.nodes
+    w = (b - a) * rule.weights
+    return float(np.sum(w * np.array([f(v) for v in x])))
+
+
+def adaptive_quadrature(f, a, b, tol=1e-12, max_depth=45):
+    """Depth-first bisection with a stack; the right half is refined first."""
+    if a == b:
+        return 0.0
+    total = 0.0
+    stack = [(a, b, _panel(f, a, b), 0)]
+    while stack:
+        lo, hi, coarse, depth = stack.pop()
+        mid = 0.5 * (lo + hi)
+        left = _panel(f, lo, mid)
+        right = _panel(f, mid, hi)
+        fine = left + right
+        if abs(fine - coarse) < max(tol, 1e-16 * abs(fine)):
+            total += fine
+        elif depth >= max_depth:
+            raise ConvergenceError(f"panel [{lo}, {hi}] at max_depth {max_depth}")
+        else:
+            stack.append((lo, mid, left, depth + 1))
+            stack.append((mid, hi, right, depth + 1))
+    return total

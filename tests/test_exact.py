@@ -377,6 +377,21 @@ def _random_skew(rng, n):
     return a - a.T
 
 
+@pytest.mark.parametrize("ident", ["sine4", "airy4"])
+def test_correlation_function_block_matrix_bit_identical(ident):
+    # the 2n x 2n particle-major matrix from one broadcast eval_matrix call
+    # against the matrix assembled pair by pair
+    spec = kernels.make_kernel(ident)
+    pts = [-0.9, -0.2, 0.4, 0.4 + 1e-6, 1.1]
+    n = len(pts)
+    big = np.zeros((2 * n, 2 * n))
+    for i in range(n):
+        for j in range(n):
+            big[2 * i:2 * i + 2, 2 * j:2 * j + 2] = kernels.eval_matrix(spec, pts[i], pts[j])
+    want = exact.pfaffian(0.5 * (big - big.T))
+    assert exact.correlation_function(spec, pts) == want
+
+
 def test_pfaffian_two_by_two():
     assert exact.pfaffian(np.array([[0.0, 3.7], [-3.7, 0.0]])) == 3.7
 

@@ -6,6 +6,8 @@ import pytest
 
 from dpptails import specfun as sf
 
+import scalar_reference as ref
+
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -211,6 +213,131 @@ def test_adaptive_quadrature_raises_at_max_depth():
     with pytest.raises(sf.ConvergenceError):
         sf.adaptive_quadrature(step, 0.0, 1.0, max_depth=6)
     assert sf.adaptive_quadrature(step, 0.0, 1.0) == pytest.approx(0.7, abs=1e-11)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+# dense grid over the series branch plus 0, -0, the switch points +-9 and
+# their neighbours, tiny |x| and pairs closer than the kernels' diagonal band
+_SERIES_GRID = np.concatenate([
+    np.linspace(-9.0, 9.0, 1201),
+    [0.0, -0.0, 9.0, -9.0, np.nextafter(9.0, 0.0), np.nextafter(-9.0, 0.0),
+     5e-324, -5e-324, 1e-300, 1e-12, -1e-12, 1e-6, -3e-5],
+    1.3 + np.array([0.0, 1e-9, 2e-5, 1.3e-4]),
+    -4.1 - np.array([0.0, 1e-9, 2e-5, 1.3e-4]),
+])
+
+
+def test_airy_series_array_bit_identical_to_scalar_oracle():
+    ai, aip = sf._airy_series(_SERIES_GRID)
+    want = [ref.airy_series(v) for v in _SERIES_GRID]
+    assert _bits(ai) == _bits([w[0] for w in want])
+    assert _bits(aip) == _bits([w[1] for w in want])
+    # the one-point path runs the same recurrence
+    assert all(sf._airy_series(float(v)) == w for v, w in zip(_SERIES_GRID[::37], want[::37]))
+
+
+def test_airy_pairs_bit_identical_to_one_point_view():
+    xs = np.concatenate([_SERIES_GRID[::7], np.linspace(-20.0, 15.0, 701),
+                         [np.nextafter(9.0, 10.0), np.nextafter(-9.0, -10.0), -20.0, 15.0]])
+    ai, aip = sf._airy_pairs(xs)
+    want = [sf._airy_pair(float(v)) for v in xs]
+    assert _bits(ai) == _bits([w[0] for w in want])
+    assert _bits(aip) == _bits([w[1] for w in want])
+    # below the batch size the points go through the cached view; shapes survive
+    small_ai, _ = sf._airy_pairs(xs[:6].reshape(2, 3))
+    assert small_ai.shape == (2, 3) and _bits(small_ai.ravel()) == _bits(ai[:6])
+
+
+def test_airy_pairs_domain_error():
+    with pytest.raises(sf.DomainError):
+        sf._airy_pairs(np.array([0.0, 15.5]))
+    with pytest.raises(sf.DomainError):
+        sf._airy_pairs(np.array([-20.5, 0.0]))
+
+
+def test_airy_series_raises_at_the_term_cap(monkeypatch):
+    # at |x| = 9 the series needs ~40 terms; an element still running at the
+    # cap is an error, never a silently truncated value
+    monkeypatch.setattr(sf, "_AIRY_SERIES_TERMS", 12)
+    with pytest.raises(sf.ConvergenceError):
+        sf._airy_series(np.linspace(-9.0, 9.0, 64))
+    with pytest.raises(sf.ConvergenceError):
+        sf._airy_series(8.5)
+    # small |x| still converges under the lowered cap
+    ai, _ = sf._airy_series(np.array([0.0, 1e-3]))
+    assert ai[0] == ref.airy_series(0.0)[0]
+
+
+def test_airy_tail_integral_array_matches_scalar():
+    xs = np.array([-10.0, -9.0, -3.3, -1e-9, 0.0, 0.7, 9.5, 15.0, 16.0, -3.3])
+    got = sf.airy_tail_integral(xs)
+    assert got.shape == xs.shape
+    assert _bits(got) == _bits([sf.airy_tail_integral(float(v)) for v in xs])
+    with pytest.raises(sf.DomainError):
+        sf.airy_tail_integral(np.array([0.0, -10.5]))
+
+
+_QUAD_CASES = [
+    (lambda u: np.sin(20.0 * u) * np.exp(-u), -1.0, 2.0),
+    (lambda u: 1.0 / (1.0 + 100.0 * u * u), -3.0, 1.0),
+    (lambda u: np.sqrt(np.abs(u)), -1.0, 1.0),
+    (lambda u: np.cos(u), 0.5, 0.5),
+    (lambda u: np.exp(u), 2.0, -1.0),
+]
+
+
+def test_adaptive_quadrature_bit_identical_to_depth_first():
+    for f, a, b in _QUAD_CASES:
+        assert sf.adaptive_quadrature(f, a, b) == ref.adaptive_quadrature(f, a, b)
+    for x in (-10.0, -6.2, -0.4, 3.0, 12.0):
+        lo, hi = (x, 0.0) if x < 0 else (0.0, x)
+        assert sf.adaptive_quadrature(sf.airy_ai, lo, hi) == \
+            ref.adaptive_quadrature(sf.airy_ai, lo, hi)
+
+
+def test_adaptive_quadrature_batch_totals_bit_identical():
+    # one batch of many intervals and integrands, each total against its own
+    # depth-first run
+    freqs = np.array([1.0, 7.0, 20.0, 3.0, 0.5, 11.0, 35.0, 60.0])
+    a = np.array([-1.0, 0.0, -2.0, 1.0, 4.0, -0.3, -5.0, 0.0])
+    b = np.array([2.0, 0.0, 1.5, 6.0, -4.0, 0.2, 7.0, 9.0])
+
+    def batch(owner, x):
+        w = freqs[owner][:, None]
+        return np.sin(w * x) / (1.0 + x * x)
+
+    totals = sf._adaptive_quadrature_batch(batch, a, b, 1e-12, 45)
+    for i in range(a.size):
+        want = ref.adaptive_quadrature(
+            lambda u, w=freqs[i]: np.sin(w * u) / (1.0 + u * u), a[i], b[i])
+        assert totals[i] == want, i
+
+
+def test_adaptive_quadrature_batch_raises_when_one_integral_jumps():
+    def integrands(jumps):
+        jumps = np.array(jumps)
+
+        def batch(owner, x):
+            return np.where(jumps[owner][:, None] & (x > 0.3), 1.0, np.cos(x))
+        return batch
+
+    a, b = np.zeros(3), np.ones(3)
+    with pytest.raises(sf.ConvergenceError):
+        sf._adaptive_quadrature_batch(integrands([False, True, False]), a, b, 1e-12, 6)
+    ok = sf._adaptive_quadrature_batch(integrands([False, False, False]), a, b, 1e-12, 6)
+    assert ok[0] == ok[2] == pytest.approx(math.sin(1.0), abs=1e-13)
+
+
+def test_gauss_legendre_reference_computed_once_and_read_only():
+    x, w = sf._gauss_legendre_reference(31)
+    assert sf._gauss_legendre_reference(31)[0] is x
+    assert not x.flags.writeable and not w.flags.writeable
+    rule = sf.gauss_legendre(31, -0.5, 3.0)
+    assert _bits(rule.nodes) == _bits(1.25 + 1.75 * x)
+    assert _bits(rule.weights) == _bits(1.75 * w)
 
 
 def test_airy_tail_domain_error():
