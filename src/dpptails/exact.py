@@ -124,15 +124,14 @@ class CountDistribution:
 def _kernel_gram(spec, xs):
     if hasattr(spec, "kind"):
         return _kernels.kernel_matrix(spec, xs)
-    # plain callable kernel (x, y) -> value, used by tests and custom kernels
+    # plain callable kernel (x, y) -> value, used by tests and custom kernels:
+    # one call on the broadcast node pairs (a constant broadcasts too), with
+    # the upper triangle mirrored so the Gram is exactly symmetric
     n = len(xs)
-    m = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            v = float(spec(xs[i], xs[j]))
-            m[i, j] = v
-            m[j, i] = v
-    return m
+    gram = np.array(np.broadcast_to(spec(xs[:, None], xs[None, :]), (n, n)), dtype=float)
+    lower = np.tril_indices(n, -1)
+    gram[lower] = gram.T[lower]
+    return gram
 
 
 def discretize(spec, window, order):

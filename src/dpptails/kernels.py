@@ -5,6 +5,11 @@ Scalar kernels (sine, Bessel, Airy), the Ginibre plane kernel, and the
 identifiers.  Every kernel carries an explicit growth envelope
 (amplitude, scale, order) certified for its reduced form, which is what
 the bound machinery consumes.
+
+Scalar kernel values come from one broadcasting evaluator: `eval_scalar`
+is its float view and `kernel_matrix` its Gram view on (xs[:, None],
+xs[None, :]).  The Airy and reduced Bessel kernels are ratio forms, and
+`_ratio_kernel` alone holds their diagonal-band rule.
 """
 
 import math
@@ -114,6 +119,39 @@ def make_kernel(identifier):
 
 
 # ---------------------------------------------------------------------------
+# ratio-form kernels: divided differences of entire functions, evaluated by
+# their diagonal (l'Hopital) formula inside the band around x = y
+# ---------------------------------------------------------------------------
+
+def _near_diagonal(x, y):
+    return np.abs(x - y) < _DIAG_BAND * (1.0 + np.abs(x))
+
+
+def _ratio_kernel(x, y, series, ratio, diag):
+    """Ratio-form kernel at the pairs of x and y, which broadcast.
+
+    series(points) returns one array per entire function of the kernel;
+    ratio(x, fx, y, fy) is the divided difference and diag(m, fm) its limit,
+    taken at the midpoint m of each band pair.  One series pass covers the
+    points of x, of y and the band midpoints, so a Gram matrix costs 2n
+    series points, not n^2.  Each value is bit-identical to its pair alone.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    band = _near_diagonal(x, y)
+    xb, yb = np.broadcast_arrays(x, y)
+    mid = 0.5 * (xb[band] + yb[band])
+    f = series(np.concatenate([x.ravel(), y.ravel(), mid]))
+    nx, nxy = x.size, x.size + y.size
+    fx = [v[:nx].reshape(x.shape) for v in f]
+    fy = [v[nx:nxy].reshape(y.shape) for v in f]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.asarray(ratio(x, fx, y, fy))
+    out[band] = diag(mid, [v[nxy:] for v in f])
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Bessel reduced-kernel series.
 #
 # With phi(x) = sum (-x/4)^m / (m! Gamma(m+s+1)) (so J_s(sqrt x) =
@@ -157,14 +195,10 @@ def _bessel_series(s, x):
 
 
 def _bessel_series_triples(s, xs):
-    """(phi, psi, chi) arrays at the points xs: one series run over the
-    distinct points, or the cached one-point runs below _MIN_BATCH points;
-    bit-identical to `_bessel_series_triple` either way."""
-    pts, inv = np.unique(np.asarray(xs, dtype=float).ravel(), return_inverse=True)
-    if pts.size < specfun._MIN_BATCH:
-        rows = np.array([_bessel_series_triple(s, v) for v in pts.tolist()]).reshape(-1, 3)
-        return tuple(rows.T[:, inv])
-    return tuple(v[inv] for v in _bessel_series(s, pts))
+    """(phi, psi, chi) arrays at the points xs, bit-identical to
+    `_bessel_series_triple` at each point."""
+    return specfun._series_values(xs, lambda p: _bessel_series(s, p),
+                                  lambda v: _bessel_series_triple(s, v))
 
 
 @lru_cache(maxsize=65536)
@@ -173,72 +207,50 @@ def _bessel_series_triple(s, x):
     return _bessel_series(s, float(x))
 
 
-def _bessel_reduced_diag(x, phi, psi, chi):
+def _bessel_reduced_diag(x, f):
     # g' phi - g phi' with g = (x/4) psi, phi' = -psi/4, psi' = -chi/4
+    phi, psi, chi = f
     return 0.25 * phi * psi - (x / 16.0) * phi * chi + (x / 16.0) * psi * psi
 
 
 def _bessel_reduced(s, x, y):
-    if abs(x - y) < _DIAG_BAND * (1.0 + abs(x)):
-        mid = 0.5 * (x + y)
-        return _bessel_reduced_diag(mid, *_bessel_series_triple(s, mid))
-    phix, psix, _ = _bessel_series_triple(s, x)
-    phiy, psiy, _ = _bessel_series_triple(s, y)
-    gx = (x / 4.0) * psix
-    gy = (y / 4.0) * psiy
-    return (gx * phiy - gy * phix) / (x - y)
+    """Reduced Bessel kernel [g(x) phi(y) - g(y) phi(x)] / (x - y) with
+    g = (x/4) psi, at the broadcast pairs of x and y."""
+    return _ratio_kernel(
+        x, y, lambda p: _bessel_series_triples(s, p),
+        lambda x, fx, y, fy: ((x / 4.0) * fx[1] * fy[0] - (y / 4.0) * fy[1] * fx[0]) / (x - y),
+        _bessel_reduced_diag)
 
 
 def _bessel_rho(s, x):
-    if s == 0.0:
-        return 1.0
-    return (x / 4.0) ** (s / 2.0)
+    """rho(x) = (x/4)^{s/2} at a float, or with libm pow at each point of an array."""
+    return specfun._per_point(lambda v: (v / 4.0) ** (s / 2.0), x)
 
 
 # ---------------------------------------------------------------------------
 # Airy kernel pieces
 # ---------------------------------------------------------------------------
 
-def _airy_kernel_diag(x, ai, aip):
-    return aip * aip - x * ai * ai
-
-
-def _near_diagonal(x, y):
-    return np.abs(x - y) < _DIAG_BAND * (1.0 + np.abs(x))
-
-
 def _airy_kernel(x, y):
-    """Airy kernel on 1-d arrays of point pairs; pairs closer than the band
-    take the diagonal formula at their midpoint."""
-    band = _near_diagonal(x, y)
-    off = ~band
-    xo, yo, mid = x[off], y[off], 0.5 * (x[band] + y[band])
-    ai, aip = specfun._airy_pairs(np.concatenate([xo, yo, mid]))
-    k = xo.size
-    aix, aiy, aim = ai[:k], ai[k:2 * k], ai[2 * k:]
-    aipx, aipy, aipm = aip[:k], aip[k:2 * k], aip[2 * k:]
-    out = np.empty(x.shape)
-    out[off] = (aix * aipy - aiy * aipx) / (xo - yo)
-    out[band] = _airy_kernel_diag(mid, aim, aipm)
-    return out
+    """Airy kernel [Ai(x) Ai'(y) - Ai(y) Ai'(x)] / (x - y) at the broadcast
+    pairs of x and y."""
+    return _ratio_kernel(x, y, specfun._airy_pairs,
+                         lambda x, fx, y, fy: (fx[0] * fy[1] - fy[0] * fx[1]) / (x - y),
+                         lambda m, fm: fm[1] * fm[1] - m * fm[0] * fm[0])
 
 
 def _airy_kernel_dy(x, y):
-    """partial_y of the Airy kernel on 1-d arrays of point pairs,
-    Taylor-switched near the diagonal."""
+    """partial_y of the Airy kernel on 1-d arrays of point pairs; pairs in
+    the band take its Taylor expansion about x."""
+    ai, aip = specfun._airy_pairs(np.concatenate([x, y]))
+    ax, apx, ay, apy = ai[:x.size], aip[:x.size], ai[x.size:], aip[x.size:]
+    d = x - y
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (ax * y * ay - apx * apy) / d + (ax * apy - ay * apx) / (d * d)
+    n2 = ax * ax
+    n3 = ax * apx + x * x * n2 - x * apx * apx
     band = _near_diagonal(x, y)
-    off = ~band
-    ai, aip = specfun._airy_pairs(np.concatenate([x, y[off]]))
-    aix, aipx = ai[:x.size], aip[:x.size]
-    aiy, aipy = ai[x.size:], aip[x.size:]
-    out = np.empty(x.shape)
-    xb, yb, ab, apb = x[band], y[band], aix[band], aipx[band]
-    n2 = ab * ab
-    n3 = ab * apb + xb * xb * n2 - xb * apb * apb
-    out[band] = -0.5 * n2 - (n3 / 3.0) * (yb - xb)
-    xo, yo, ao, apo = x[off], y[off], aix[off], aipx[off]
-    d = xo - yo
-    out[off] = (ao * yo * aiy - apo * aipy) / d + (ao * aipy - aiy * apo) / (d * d)
+    out[band] = (-0.5 * n2 - (n3 / 3.0) * (y - x))[band]
     return out
 
 
@@ -249,8 +261,7 @@ def _airy_kernel_tail_integral(x, y, tol=1e-11):
     """int_x^infinity of the Airy kernel's first slot against fixed y, for
     1-d arrays of pairs (x, y), as one quadrature batch."""
     def integrand(owner, u):
-        fixed = np.repeat(y[owner], u.shape[1])
-        return _airy_kernel(u.ravel(), fixed).reshape(u.shape)
+        return _airy_kernel(u, y[owner][:, None])
 
     # x >= the cut gives an empty interval, whose integral is 0
     return specfun._adaptive_quadrature_batch(
@@ -262,36 +273,42 @@ def _airy_kernel_tail_integral(x, y, tol=1e-11):
 # ---------------------------------------------------------------------------
 
 def _check_scalar_domain(spec, *points):
+    """DomainError unless every point (floats or arrays) lies in the scalar
+    kernel's domain; NaN lies in none."""
+    if spec.block_size != 1 or spec.kind == "ginibre":
+        raise DomainError(f"{spec.identifier} is not a scalar real kernel")
+    pts = np.concatenate([np.ravel(p) for p in points])
+    # min and max propagate NaN, which fails every test below
+    low, high = float(pts.min()), float(pts.max())
     if spec.kind == "sine":
-        return
-    if spec.kind == "airy":
+        ok, domain = math.isfinite(low) and math.isfinite(high), "the finite reals"
+    elif spec.kind == "airy":
         lo, hi = specfun.WORKING_RANGES["airy_ai"].working_range
-        for p in points:
-            if p < lo or p > hi:
-                raise DomainError(f"airy kernel working range is [{lo}, {hi}], got {p}")
-        return
-    if spec.kind == "bessel":
-        s = spec.bessel_s
-        for p in points:
-            if p < 0.0 or (p == 0.0 and s != 0.0) or p > 1600.0:
-                raise DomainError(
-                    f"bessel kernel domain is the open half-line (0, 1600], got {p}")
-        return
-    raise DomainError(f"{spec.identifier} is not a scalar real kernel")
+        ok, domain = lo <= low and high <= hi, f"[{lo}, {hi}]"
+    else:
+        ok = (0.0 < low or (low == 0.0 and spec.bessel_s == 0.0)) and high <= 1600.0
+        domain = "the open half-line (0, 1600], with 0 at s = 0"
+    if not ok:
+        raise DomainError(f"{spec.identifier} kernel domain is {domain}, "
+                          f"got points in [{low}, {high}]")
+
+
+def _scalar_kernel(spec, x, y):
+    """Pi(x, y) of a scalar real kernel at the broadcast pairs of x and y."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    _check_scalar_domain(spec, x, y)
+    if spec.kind == "sine":
+        return sinc(np.abs(x - y))
+    if spec.kind == "airy":
+        return _airy_kernel(x, y)
+    s = spec.bessel_s
+    return _bessel_rho(s, x) * _bessel_rho(s, y) * _bessel_reduced(s, x, y)
 
 
 def eval_scalar(spec, x, y):
     """Scalar kernel value Pi(x, y); exactly symmetric, diagonal by formula."""
-    if spec.block_size != 1 or spec.kind == "ginibre":
-        raise DomainError(f"eval_scalar needs a scalar real kernel, got {spec.identifier}")
-    x, y = float(x), float(y)
-    _check_scalar_domain(spec, x, y)
-    if spec.kind == "sine":
-        return float(sinc(abs(x - y)))
-    if spec.kind == "airy":
-        return float(_airy_kernel(np.array([x]), np.array([y]))[0])
-    s = spec.bessel_s
-    return _bessel_rho(s, x) * _bessel_rho(s, y) * _bessel_reduced(s, x, y)
+    return float(_scalar_kernel(spec, x, y))
 
 
 def eval_matrix(spec, x, y):
@@ -312,13 +329,11 @@ def eval_matrix(spec, x, y):
         entries = 0.5 * np.stack([-sinc_antiderivative(t), s, -s, sinc_derivative(t)], axis=-1)
     else:
         # airy4: Tracy-Widom entries built from the scalar Airy kernel
-        for p in (x, y):
-            bad = (p < -10.0) | (p > 15.0)
-            if bad.any():
-                raise DomainError(
-                    f"airy4 kernel working range is [-10, 15], got {p[bad][0]}")
         n = x.size
         both = np.concatenate([x, y])
+        bad = ~((both >= -10.0) & (both <= 15.0))
+        if bad.any():
+            raise DomainError(f"airy4 kernel working range is [-10, 15], got {both[bad][0]}")
         tail = airy_tail_integral(both)
         ai = specfun._airy_pairs(both)[0]
         kern = _airy_kernel(both, np.concatenate([y, x]))
@@ -342,32 +357,10 @@ def eval_complex(spec, z, w):
 
 
 def kernel_matrix(spec, xs):
-    """Vectorized Gram matrix Pi(x_i, x_j) for scalar kernels on nodes xs."""
+    """Gram matrix Pi(x_i, x_j) of a scalar kernel on nodes xs, bit-identical
+    to eval_scalar at each pair."""
     xs = np.asarray(xs, dtype=float)
-    _check_scalar_domain(spec, float(xs.min()), float(xs.max()))
-    n = xs.size
-    if spec.kind == "sine":
-        return sinc(np.abs(xs[:, None] - xs[None, :]))
-    dx = xs[:, None] - xs[None, :]
-    band = np.abs(dx) < _DIAG_BAND * (1.0 + np.abs(xs)[:, None])
-    ii, jj = np.nonzero(band)
-    mid = 0.5 * (xs[ii] + xs[jj])
-    # one series run over the nodes and the band midpoints together
-    pts = np.concatenate([xs, mid])
-    if spec.kind == "airy":
-        ai, aip = specfun._airy_pairs(pts)
-        num = ai[:n, None] * aip[None, :n] - ai[None, :n] * aip[:n, None]
-        out = np.divide(num, dx, out=np.zeros((n, n)), where=~band)
-        out[ii, jj] = _airy_kernel_diag(mid, ai[n:], aip[n:])
-        return out
-    s = spec.bessel_s
-    phi, psi, chi = _bessel_series_triples(s, pts)
-    g = (xs / 4.0) * psi[:n]
-    num = g[:, None] * phi[None, :n] - g[None, :] * phi[:n, None]
-    red = np.divide(num, dx, out=np.zeros((n, n)), where=~band)
-    red[ii, jj] = _bessel_reduced_diag(mid, phi[n:], psi[n:], chi[n:])
-    rho = np.array([_bessel_rho(s, float(v)) for v in xs])
-    return rho[:, None] * rho[None, :] * red
+    return _scalar_kernel(spec, xs[:, None], xs[None, :])
 
 
 def intensity(spec, x):
@@ -474,20 +467,14 @@ def _airy4_envelope_amplitude(a, b):
     |entry(p, p+t)| e^{-|t|^{3/2}} over the window with a factor-2 margin,
     the validation mode used for all Airy constants.
     """
-    ps, ys, ts = [], [], []
-    for p in np.linspace(a, b, 7):
-        for t in np.linspace(-3.0, 3.0, 13):
-            y = p + t
-            if y < -10.0 or y > 14.0:
-                continue
-            ps.append(float(p))
-            ys.append(float(y))
-            ts.append(t)
-    blocks = eval_matrix(make_kernel("airy4"), np.array(ps), np.array(ys))
-    amp = 0.0
-    for peak, t in zip(np.abs(blocks).max(axis=(1, 2)).tolist(), ts):
-        amp = max(amp, peak * math.exp(-abs(t) ** 1.5))
-    return 2.0 * amp
+    p = np.linspace(a, b, 7)[:, None]
+    t = np.linspace(-3.0, 3.0, 13)[None, :]
+    y = p + t
+    keep = (y >= -10.0) & (y <= 14.0)
+    blocks = eval_matrix(make_kernel("airy4"), np.broadcast_to(p, y.shape)[keep], y[keep])
+    peaks = np.abs(blocks).max(axis=(1, 2)).tolist()
+    ts = np.broadcast_to(t, y.shape)[keep].tolist()
+    return 2.0 * max(peak * math.exp(-abs(dt) ** 1.5) for peak, dt in zip(peaks, ts))
 
 
 def growth_envelope(spec, window=None):
@@ -534,5 +521,5 @@ def factorization(spec, window):
     _check_scalar_domain(spec, max(window.a, 1e-300), window.b)
     sup_rho = max(_bessel_rho(s, window.a), _bessel_rho(s, window.b))
     return Factorization(lambda x, _s=s: _bessel_rho(_s, x),
-                         lambda x, y, _s=s: _bessel_reduced(_s, x, y),
+                         lambda x, y, _s=s: float(_bessel_reduced(_s, x, y)),
                          float(sup_rho))

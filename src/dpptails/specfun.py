@@ -167,32 +167,31 @@ def sinc_derivative(t):
 
 
 def sinc_antiderivative(t):
-    """IS(t) = int_0^t sinc(u) du, on a scalar or elementwise on an array.
+    """IS(t) = int_0^t sinc(u) du for |t| <= 50, on a scalar or an array.
 
-    Composite 24-point Gauss-Legendre over unit panels: the integrand is
-    entire, so each panel is integrated to machine precision and no asymptotic
-    switch is needed on |t| <= 50.  Odd in t.
+    Composite 24-point Gauss-Legendre over ceil(|t|) equal panels, one array
+    pass per panel count: the integrand is entire, so each panel is
+    integrated to machine precision.  Odd in t.
     """
-    rule = gauss_legendre(24, 0.0, 1.0)
-
-    def one(ta):
-        if ta == 0.0:
-            return 0.0
-        sign = 1.0 if ta > 0 else -1.0
-        T = abs(ta)
-        panels = int(math.ceil(T))
-        edges = np.linspace(0.0, T, panels + 1)
-        lo = edges[:-1]
-        width = edges[1:] - lo
-        # nodes of every panel at once, shape (panels, 24)
-        u = lo[:, None] + width[:, None] * rule.nodes[None, :]
-        w = width[:, None] * rule.weights[None, :]
-        return sign * float(np.sum(w * sinc(u)))
-
-    if np.ndim(t) == 0:
-        return one(float(t))
     ts = np.asarray(t, dtype=float)
-    return np.array([one(v) for v in ts.ravel().tolist()]).reshape(ts.shape)
+    mag = np.abs(ts)
+    bad = ~(mag <= 50.0)
+    if bad.any():
+        raise DomainError(f"sinc_antiderivative working range is [-50, 50], got {ts[bad][0]}")
+    x, w = _gauss_legendre_reference(24)
+    nodes, weights = 0.5 + 0.5 * x, 0.5 * w
+    out = np.zeros(ts.shape)
+    panels = np.ceil(mag).astype(int)
+    for p in np.unique(panels[panels > 0]).tolist():
+        sel = panels == p
+        edges = np.linspace(0.0, mag[sel], p + 1, axis=-1)
+        lo = edges[:, :-1, None]
+        width = edges[:, 1:, None] - lo
+        # every node of every panel of every point, shape (points, p * 24)
+        u = (lo + width * nodes).reshape(-1, p * 24)
+        out[sel] = np.sum((width * weights).reshape(-1, p * 24) * sinc(u), axis=1)
+    out = np.where(ts < 0.0, -out, out)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -213,9 +212,9 @@ def bessel_j(nu, x):
     """
     nu = float(nu)
     x = float(x)
-    if nu <= -1.0:
+    if not (nu > -1.0):
         raise DomainError(f"bessel_j requires nu > -1, got {nu}")
-    if x < 0.0 or x > 40.0:
+    if not (0.0 <= x <= 40.0):
         raise DomainError(f"bessel_j working range is 0 <= x <= 40, got {x}")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
@@ -263,7 +262,7 @@ def _like(x, value):
 def _per_point(fn, x):
     """fn on Python floats, applied point by point (libm, never a vector kernel)."""
     if isinstance(x, np.ndarray):
-        return np.array([fn(v) for v in x.tolist()])
+        return np.array([fn(v) for v in x.ravel().tolist()]).reshape(x.shape)
     return fn(x)
 
 
@@ -433,36 +432,42 @@ def _airy_asymptotic_neg(x):
 _MIN_BATCH = 32
 
 
-def _airy_pairs(xs):
-    """(Ai, Ai') on an array of points of the working range [-20, 15].
+def _series_values(xs, series, one_point, batchable=None):
+    """The outputs of an elementwise series at the points xs, each shaped
+    like xs and bit-identical to `one_point`, the cached one-point view.
 
-    The distinct points with |x| <= _AIRY_SWITCH share one run of the
-    series recurrence when there are at least _MIN_BATCH of them; every
-    other point goes through the cached one-point `_airy_pair`, whose
-    asymptotic branches run in Python floats.  Either way each value is
-    bit-identical to `_airy_pair`.
+    The distinct points that `batchable` admits (default: all) share one
+    array run of `series` if there are at least _MIN_BATCH of them; every
+    other point goes through `one_point`.
     """
     x = np.asarray(xs, dtype=float)
     pts, inv = np.unique(x.ravel(), return_inverse=True)
-    if pts.size and (pts[0] < -20.0 or pts[-1] > 15.0):
-        bad = pts[0] if pts[0] < -20.0 else pts[-1]
-        raise DomainError(f"airy working range is [-20, 15], got {bad}")
-    ai = np.empty(pts.size)
-    aip = np.empty(pts.size)
-    batch = np.abs(pts) <= _AIRY_SWITCH
+    batch = np.ones(pts.size, dtype=bool) if batchable is None else batchable(pts)
     if np.count_nonzero(batch) < _MIN_BATCH:
         batch[:] = False
-    ai[batch], aip[batch] = _airy_series(pts[batch])
+    batched = np.array(series(pts[batch]))
+    out = np.empty((len(batched), pts.size))
+    out[:, batch] = batched
     for i in np.flatnonzero(~batch).tolist():
-        ai[i], aip[i] = _airy_pair(float(pts[i]))
-    return ai[inv].reshape(x.shape), aip[inv].reshape(x.shape)
+        out[:, i] = one_point(float(pts[i]))
+    return tuple(v[inv].reshape(x.shape) for v in out)
+
+
+def _airy_pairs(xs):
+    """(Ai, Ai') on an array of points of the working range [-20, 15].
+
+    The series points |x| <= _AIRY_SWITCH may share one array run; every
+    other point, including any outside the range (DomainError) or NaN, goes
+    through `_airy_pair`, whose asymptotic branches run in Python floats.
+    """
+    return _series_values(xs, _airy_series, _airy_pair, lambda p: np.abs(p) <= _AIRY_SWITCH)
 
 
 @lru_cache(maxsize=262144)
 def _airy_pair(x):
     """(Ai, Ai') at one point, cached; the same arithmetic as _airy_pairs."""
     x = float(x)
-    if x < -20.0 or x > 15.0:
+    if not (-20.0 <= x <= 15.0):
         raise DomainError(f"airy working range is [-20, 15], got {x}")
     if abs(x) <= _AIRY_SWITCH:
         return _airy_series(x)
@@ -492,18 +497,24 @@ def _adaptive_quadrature_batch(f, a, b, tol=1e-12, max_depth=45):
     returns the values of integrand owner[p] at x[p].  Bisection runs
     breadth first: each round evaluates every pending panel of every
     integral in one call of f.  A panel is accepted when its coarse GL-15
-    value and the sum of its two halves agree; a panel at max_depth that
-    still disagrees raises ConvergenceError.  Each total adds its accepted
-    panels right to left (descending lower end), the order in which a
-    depth-first bisection that refines the right half first meets them, so
-    every total is bit-identical to integrating that interval alone.
+    value and the sum of its two halves agree; a non-finite panel, or a
+    panel at max_depth that still disagrees, raises ConvergenceError.  Each
+    total adds its accepted panels right to left (descending lower end),
+    the order in which a depth-first bisection that refines the right half
+    first meets them, so every total is bit-identical to integrating that
+    interval alone.
     """
     rule = gauss_legendre(15, 0.0, 1.0)
 
     def panels(owner, lo, hi):
         width = (hi - lo)[:, None]
         x = lo[:, None] + width * rule.nodes
-        return np.sum(width * rule.weights * f(owner, x), axis=1)
+        values = np.sum(width * rule.weights * f(owner, x), axis=1)
+        # a non-finite panel never passes the accept test: stop, do not bisect
+        if not np.isfinite(values).all():
+            i = int(np.argmin(np.isfinite(values)))
+            raise ConvergenceError(f"adaptive_quadrature: non-finite panel [{lo[i]}, {hi[i]}]")
+        return values
 
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -546,8 +557,9 @@ def _adaptive_quadrature_batch(f, a, b, tol=1e-12, max_depth=45):
 def adaptive_quadrature(f, a, b, tol=1e-12, max_depth=45):
     """Integrate f on [a, b]: bisect until coarse and refined panels agree.
 
-    f takes one point.  Raises ConvergenceError when a panel at max_depth
-    still disagrees.  One-interval call of _adaptive_quadrature_batch.
+    f takes one point.  Raises ConvergenceError when a panel value is not
+    finite or a panel at max_depth still disagrees.  One-interval call of
+    _adaptive_quadrature_batch.
     """
     def values(owner, x):
         return np.array([f(v) for v in x.ravel()]).reshape(x.shape)
@@ -564,8 +576,9 @@ def airy_tail_integral(x, tol=1e-12):
     """
     xa = np.asarray(x, dtype=float)
     pts, inv = np.unique(xa.ravel(), return_inverse=True)
-    if pts.size and pts[0] < -10.0:
-        raise DomainError(f"airy_tail_integral requires x >= -10, got {pts[0]}")
+    bad = ~(pts >= -10.0)
+    if bad.any():
+        raise DomainError(f"airy_tail_integral requires x >= -10, got {pts[bad][0]}")
     right = pts > 0.0
     piece = _adaptive_quadrature_batch(
         lambda owner, u: _airy_pairs(u)[0],
@@ -592,11 +605,11 @@ def incomplete_gamma_ratio(k, x):
     Equals P(Poisson(x) >= k+1); both Poisson-tail forms are summed in
     log space so neither large x nor large k overflows.
     """
-    if k != int(k) or k < 0 or k > 200:
+    if not (0 <= k <= 200) or k != int(k):
         raise DomainError(f"incomplete_gamma_ratio requires integer 0 <= k <= 200, got {k}")
     k = int(k)
     x = float(x)
-    if x < 0.0:
+    if not (x >= 0.0):
         raise DomainError("incomplete_gamma_ratio requires x >= 0")
     if x == 0.0:
         return 0.0

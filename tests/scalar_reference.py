@@ -2,7 +2,8 @@
 
 These are the scalar loops that the array routines of `dpptails.specfun`
 and `dpptails.kernels` replace: the Airy Maclaurin series, the Bessel
-reduced-kernel series and depth-first adaptive quadrature.  The array
+reduced-kernel series, depth-first adaptive quadrature and the per-point
+sinc antiderivative.  The array
 routines must reproduce them to the last bit.
 """
 
@@ -20,6 +21,7 @@ from dpptails.specfun import (
     _dd_mul_d,
     _two_prod,
     gauss_legendre,
+    sinc,
 )
 
 
@@ -121,3 +123,20 @@ def adaptive_quadrature(f, a, b, tol=1e-12, max_depth=45):
             stack.append((lo, mid, left, depth + 1))
             stack.append((mid, hi, right, depth + 1))
     return total
+
+
+def sinc_antiderivative(t):
+    """int_0^t sinc at one point: 24-point Gauss-Legendre on ceil(|t|) panels."""
+    t = float(t)
+    if t == 0.0:
+        return 0.0
+    rule = gauss_legendre(24, 0.0, 1.0)
+    sign = 1.0 if t > 0 else -1.0
+    T = abs(t)
+    panels = int(math.ceil(T))
+    edges = np.linspace(0.0, T, panels + 1)
+    lo = edges[:-1]
+    width = edges[1:] - lo
+    u = lo[:, None] + width[:, None] * rule.nodes[None, :]
+    w = width[:, None] * rule.weights[None, :]
+    return sign * float(np.sum(w * sinc(u)))

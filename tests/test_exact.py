@@ -18,6 +18,36 @@ SINE4 = kernels.make_kernel("sine4")
 # discretization
 # ---------------------------------------------------------------------------
 
+
+def _pairwise_gram(kernel, xs):
+    """The former pair-by-pair Gram loop of exact._kernel_gram: upper
+    triangle evaluated, lower mirrored."""
+    n = len(xs)
+    m = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            v = float(kernel(xs[i], xs[j]))
+            m[i, j] = v
+            m[j, i] = v
+    return m
+
+
+def test_discretize_broadcast_callable_bit_identical_to_pairwise_loop():
+    # not symmetric in its bits, so the mirrored triangle matters; (x - y) ** 2
+    # would not do, since numpy squares arrays but calls libm pow on scalars
+    def kernel(x, y):
+        return np.exp(-(x - y) * (x - y)) * np.cos(x * y + x)
+
+    win = Interval(-1.0, 2.0)
+    d = exact.discretize(kernel, win, 33)
+    rule = gauss_legendre(33, win.a, win.b)
+    sw = np.sqrt(rule.weights)
+    mat = sw[:, None] * _pairwise_gram(kernel, rule.nodes) * sw[None, :]
+    assert d.matrix.tobytes() == (0.5 * (mat + mat.T)).tobytes()
+    pts = [0.1, 0.7, 1.3]
+    assert exact.correlation_function(kernel, pts) == float(
+        np.linalg.det(_pairwise_gram(kernel, np.array(pts))))
+
 def test_discretize_constant_kernel_rank_one():
     d = exact.discretize(lambda x, y: 1.0, Interval(0.0, 1.0), 24)
     sw = np.sqrt(d.rule.weights)

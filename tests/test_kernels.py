@@ -335,7 +335,7 @@ def test_bessel_series_triples_bit_identical_to_scalar_oracle(s):
 
 
 @pytest.mark.parametrize("spec, lo, hi", [(AIRY, -6.0, 2.0), (BESSEL_HALF, 0.3, 8.0),
-                                          (BESSEL2, 0.5, 300.0)])
+                                          (BESSEL2, 0.5, 300.0), (SINE, -3.0, 3.0)])
 def test_kernel_matrix_bit_identical_to_eval_scalar(spec, lo, hi):
     # 40 nodes takes the array series path; the diagonal takes the band formula
     xs = specfun.gauss_legendre(40, lo, hi).nodes
@@ -366,3 +366,41 @@ def test_eval_matrix_broadcast_bit_identical_to_pairs(spec, lo, hi):
 ])
 def test_airy4_envelope_amplitude_pinned(window, amplitude):
     assert kernels._airy4_envelope_amplitude(*window).hex() == amplitude
+
+
+_NAN = math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: specfun.airy_ai(_NAN),
+    lambda: specfun.airy_ai_prime(_NAN),
+    lambda: specfun._airy_pairs(np.array([_NAN, 0.0])),
+    lambda: specfun.airy_tail_integral(_NAN),
+    lambda: specfun.airy_tail_integral(np.array([0.0, _NAN])),
+    lambda: specfun.incomplete_gamma_ratio(3, _NAN),
+    lambda: specfun.incomplete_gamma_ratio(_NAN, 1.0),
+    lambda: specfun.bessel_j(0, _NAN),
+    lambda: specfun.bessel_j(_NAN, 1.0),
+    lambda: specfun.sinc_antiderivative(_NAN),
+    lambda: kernels.eval_scalar(AIRY, _NAN, 0.0),
+    lambda: kernels.eval_scalar(BESSEL_HALF, _NAN, 1.0),
+    lambda: kernels.eval_scalar(SINE, 0.0, _NAN),
+    lambda: kernels.kernel_matrix(AIRY, [0.0, _NAN, 1.0]),
+    lambda: kernels.kernel_matrix(BESSEL_HALF, [_NAN, 1.0]),
+    lambda: kernels.eval_matrix(AIRY4, _NAN, 0.0),
+    lambda: kernels.eval_matrix(AIRY4, np.array([0.0, 1.0]), np.array([_NAN, 0.0])),
+])
+def test_nan_raises_domain_error(call):
+    with pytest.raises(DomainError):
+        call()
+
+
+def test_ratio_kernel_broadcasts_like_its_pairs():
+    # a (5, 1) column against a (1, 4) row equals the flat pairs, band included
+    x = np.array([-1.0, -0.5, 0.0, 0.25, 0.25 + 1e-9])[:, None]
+    y = np.array([-0.5, 0.25, 0.7, -1.0 + 2e-5])[None, :]
+    grid = kernels._airy_kernel(x, y)
+    assert grid.shape == (5, 4)
+    xb, yb = np.broadcast_arrays(x, y)
+    want = [kernels.eval_scalar(AIRY, a, b) for a, b in zip(xb.ravel(), yb.ravel())]
+    assert _bits(grid.ravel()) == _bits(want)

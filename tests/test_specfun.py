@@ -1,4 +1,5 @@
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -329,6 +330,35 @@ def test_adaptive_quadrature_batch_raises_when_one_integral_jumps():
         sf._adaptive_quadrature_batch(integrands([False, True, False]), a, b, 1e-12, 6)
     ok = sf._adaptive_quadrature_batch(integrands([False, False, False]), a, b, 1e-12, 6)
     assert ok[0] == ok[2] == pytest.approx(math.sin(1.0), abs=1e-13)
+
+
+def test_adaptive_quadrature_non_finite_integrand_raises_fast():
+    start = time.perf_counter()
+    with pytest.raises(sf.ConvergenceError):
+        sf.adaptive_quadrature(lambda x: math.nan, 0.0, 1.0)
+    with pytest.raises(sf.ConvergenceError):
+        sf.adaptive_quadrature(lambda x: math.inf if x > 0.9 else 1.0, 0.0, 1.0)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sinc_antiderivative_bit_identical_to_scalar_oracle():
+    rng = np.random.default_rng(41)
+    t = np.concatenate([np.arange(-50.0, 51.0), [0.0, -0.0, 1e-300, -1e-300, 5e-324],
+                        rng.uniform(-50.0, 50.0, 2000)])
+    got = sf.sinc_antiderivative(t)
+    want = np.array([ref.sinc_antiderivative(v) for v in t])
+    assert got.tobytes() == want.tobytes()
+    assert sf.sinc_antiderivative(t[:24].reshape(4, 6)).tobytes() == want[:24].tobytes()
+    scalar = sf.sinc_antiderivative(-7.25)
+    assert type(scalar) is float and scalar == ref.sinc_antiderivative(-7.25)
+
+
+@pytest.mark.parametrize("t", [50.5, -51.0, math.inf, -math.inf, math.nan])
+def test_sinc_antiderivative_domain_error(t):
+    with pytest.raises(sf.DomainError):
+        sf.sinc_antiderivative(t)
+    with pytest.raises(sf.DomainError):
+        sf.sinc_antiderivative(np.array([0.5, t]))
 
 
 def test_gauss_legendre_reference_computed_once_and_read_only():
