@@ -9,11 +9,16 @@ kernel conditioned on the nodes already picked.
 Randomness is counter-based: configuration k reads its own numpy Philox
 stream keyed (seed, k), first n coin doubles and then one pick double per
 step, so batches are reproducible and shard-stable across worker counts.
+Philox4x64-10 is a pure function of (key, counter), so `_philox_doubles`
+evaluates it in uint64 array arithmetic for a whole chunk of keys at once:
+the coins of the live eigenvalues (lambda > 0) only, then the pick doubles
+up to the chunk's largest m, instead of a generator per configuration.
 
-The draw runs block-wise.  A block of configurations fills one row of 2n
-doubles per stream; the coins give each configuration its m; the block's
-configurations are grouped by m; and each group runs its m chain-rule steps
-once, on a stacked (configurations, m, nodes) array of eigenvector rows.
+The draw runs chunk-wise.  A chunk's coins give each configuration its m;
+the chunk is ordered by m, largest first, and runs its chain-rule steps once
+for all configurations, the ones still drawing at step k being a prefix.
+Each orthonormal vector is kept as r coefficients on the live eigenvector
+rows, so a chunk holds (n + r^2) doubles per configuration.
 """
 
 import inspect
@@ -226,73 +231,129 @@ class SampleBatch:
         return [points[a:b] for a, b in zip(off, off[1:])]
 
     def to_jsonl(self):
-        return "\n".join(json.dumps(cfg) for cfg in self.configurations) + "\n"
+        """One JSON list per configuration, each node's text encoded once."""
+        text = [json.dumps(x) for x in self.node_rule.nodes.tolist()]
+        cells = [text[i] for i in self.indices.tolist()]
+        off = self.offsets.tolist()
+        return "\n".join(f"[{', '.join(cells[a:b])}]" for a, b in zip(off, off[1:])) + "\n"
 
 
-_BLOCK = 128   # configurations per block: bounds the temporaries of draws and S_q
+_BLOCK = 128        # configurations per block of the S_q gather
+_BUDGET = 1 << 17   # doubles per chunk of draws, n + r^2 of them per configuration
+
+# Philox4x64-10 (Salmon et al., SC 2011): round multipliers and key increments
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_LO32 = 0xFFFFFFFF
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+
+
+def _mulhilo(m, c):
+    """(high, low) 64-bit words of m * c, the high word from 32-bit products."""
+    c_lo, c_hi = c & _LO32, c >> 32
+    m_lo, m_hi = m & _LO32, m >> 32
+    t = c_hi * m_lo + ((c_lo * m_lo) >> 32)
+    u = c_lo * m_hi + (t & _LO32)
+    return c_hi * m_hi + (t >> 32) + (u >> 32), c * m
+
+
+def _philox_doubles(seed, configs, positions):
+    """Doubles `positions` (ascending) of the streams keyed (seed, k), k in
+    `configs`, as a (len(configs), len(positions)) array.
+
+    Entry [k, j] equals the positions[j]-th value of
+    Generator(Philox(key=(seed, k))).random(): word p of a stream is word p % 4
+    of the Philox block at counter p // 4 + 1 (numpy bumps the counter before
+    it fills its buffer), and a double is (word >> 11) * 2^-53.
+    """
+    keys = np.asarray(configs, dtype=np.uint64)[:, None]
+    positions = np.asarray(positions, dtype=np.intp)
+    if positions.size == 0:
+        return np.empty((keys.size, 0))
+    blocks = positions // 4
+    first = np.r_[True, blocks[1:] != blocks[:-1]]
+    c0 = (blocks[first] + 1).astype(np.uint64)[None, :]
+    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
+    k0 = seed & _MASK64
+    for rnd in range(10):
+        if rnd:
+            k0 = (k0 + _PHILOX_W[0]) & _MASK64
+            keys = keys + _PHILOX_W[1]
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
+        c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ keys, lo0
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(keys.size, -1)
+    return (words[:, 4 * (np.cumsum(first) - 1) + positions % 4] >> 11) * 2.0 ** -53
+
+
+def _chunk_size(n, r):
+    """Configurations per chunk of draws on n nodes with r live eigenvalues."""
+    return max(1, _BUDGET // (n + r * r))
 
 
 def _draw_range(lams, vectors, seed, start, stop):
     """Configurations start..stop-1 as (flat node indices, offsets).
 
-    Configuration k reads its own Philox stream keyed (seed, k): n coin
-    doubles, then one pick double per chain-rule step.  Resetting the
-    generator's state to that key, counter 0 and an empty buffer gives the
-    same doubles as a fresh Philox(key=(seed, k)).
+    Configuration k reads its own Philox stream keyed (seed, k): the coins of
+    the r live eigenvalues (lambda > 0) at their positions among the first n
+    doubles, then one pick double per chain-rule step from position n on.
+    For a chunk of `_chunk_size(n, r)` configurations, `_philox_doubles`
+    computes the live coins, then pick doubles n .. n + max(m) - 1 of the
+    configurations with m > 0; each reads its first m.
 
-    Each group of equal m keeps the running diagonal d of K = V V^T and an
-    orthonormal e_1..e_m: step k picks x with weight d(x), then sets
-    e_k = (K(:, x) - sum_{j<k} e_j(x) e_j) / sqrt(d(x)) and d -= e_k^2.
+    The chunk is ordered by m, largest first (stable), so the configurations
+    still drawing at step k are a prefix.  With W the (r, n) live eigenvector
+    rows and s a configuration's coin mask, the running diagonal d of
+    K = W^T diag(s) W starts at s W^2.  Step k picks x with weight d(x), keeps
+    e_k = a_k W by its r coefficients
+    a_k = (s * W(:, x) - sum_{j<k} e_j(x) a_j) / sqrt(d(x)), e_j(x) = a_j W(:, x),
+    and sets d -= e_k^2 with one stacked (1, r) x (r, n) product per
+    configuration (a 2-D product would wake a second BLAS thread).
     """
     n = lams.size
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64)
-    zeros = np.zeros(4, dtype=np.uint64)
-    bitgen = np.random.Philox(key=key)
-    gen = np.random.Generator(bitgen)
-    rows = np.empty((_BLOCK, 2 * n))      # n coins, then up to n pick doubles
     live = np.flatnonzero(lams > 0.0)     # coins lie in [0, 1): no other column is picked
-    vt = np.ascontiguousarray(vectors[:, live].T)
+    wt = vectors[:, live]                 # row x is W(:, x)
+    w = np.ascontiguousarray(wt.T)
+    w2 = np.square(w)
+    chunk = _chunk_size(n, live.size)
     sizes = np.empty(stop - start, dtype=np.intp)
     parts = [np.empty(0, dtype=np.intp)]
-    for first in range(start, stop, _BLOCK):
-        count = min(_BLOCK, stop - first)
-        for j in range(count):
-            key[1] = first + j
-            bitgen.state = {"bit_generator": "Philox",
-                            "state": {"counter": zeros, "key": key},
-                            "buffer": zeros, "buffer_pos": 4,
-                            "has_uint32": 0, "uinteger": 0}
-            gen.random(out=rows[j])
-        sel = rows[:count, live] < lams[live]
+    for first in range(start, stop, chunk):
+        keys = np.arange(first, min(first + chunk, stop), dtype=np.uint64)
+        sel = _philox_doubles(seed, keys, live) < lams[live]
         ms = np.count_nonzero(sel, axis=1)
-        sizes[first - start:first - start + count] = ms
-        ends = np.cumsum(ms)
-        starts = ends - ms
-        out = np.empty(ends[-1], dtype=np.intp)
-        for m in np.flatnonzero(np.bincount(ms)):      # an m = 0 group takes no step
-            members = np.flatnonzero(ms == m)
-            g = np.arange(members.size)[:, None]
-            cols = np.nonzero(sel[members])[1].reshape(members.size, m)
-            v = vt[cols]                                # (g, m, n)
-            d = np.einsum("gij,gij->gj", v, v)
-            e = np.empty_like(v)
-            picks = np.empty((members.size, m), dtype=np.intp)
-            for step in range(m):
-                np.maximum(d, 0.0, out=d)
-                cum = np.add.accumulate(d, axis=1)
-                r = rows[members, n + step][:, None] * cum[:, -1:]
-                # the count is searchsorted(cum, r) on each nondecreasing row
-                i = np.minimum(np.add.reduce(cum < r, axis=1), n - 1)[:, None]
-                picks[:, step:step + 1] = i
-                col = e[:, step:step + 1]      # e_k, built in place
-                np.matmul(vt[cols[:, None, :], i[:, :, None]], v, out=col)
-                if step:
-                    col -= np.matmul(e[g, :step, i], e[:, :step])
-                col /= np.sqrt(d[g, i])[:, :, None]
-                d -= np.square(col[:, 0])
-            picks.sort(axis=1)  # the nodes increase strictly, so this is point order
-            out[starts[members, None] + np.arange(m)] = picks
-        parts.append(out)
+        sizes[first - start:first - start + keys.size] = ms
+        order = np.argsort(-ms, kind="stable")
+        mmax = int(ms[order[0]])
+        if mmax == 0:
+            continue
+        active = keys.size - np.cumsum(np.bincount(ms))   # active[k]: configurations with m > k
+        order = order[:active[0]]
+        keys, s = keys[order], sel[order].astype(float)
+        u = _philox_doubles(seed, keys, np.arange(n, n + mmax))
+        d = np.matmul(s[:, None, :], w2)[:, 0]
+        coef = np.empty((order.size, mmax, live.size))
+        picks = np.full((order.size, mmax), n, dtype=np.intp)
+        rows = np.arange(order.size)
+        for k, a in enumerate(active[:mmax].tolist()):
+            dk = d[:a]
+            np.maximum(dk, 0.0, out=dk)
+            cum = np.add.accumulate(dk, axis=1)
+            target = u[:a, k:k + 1] * cum[:, -1:]
+            # the count is searchsorted(cum, target) on each nondecreasing row
+            i = np.minimum(np.add.reduce(cum < target, axis=1), n - 1)
+            picks[:a, k] = i
+            wi = wt[i]                    # W(:, x), one row per configuration
+            ak = s[:a] * wi
+            if k:
+                ck = coef[:a, :k]
+                ak -= np.einsum("ak,akr->ar", np.einsum("akr,ar->ak", ck, wi), ck)
+            ak /= np.sqrt(dk[rows[:a], i])[:, None]
+            coef[:a, k] = ak
+            dk -= np.square(np.matmul(ak[:, None, :], w)[:, 0])
+        picks = picks[np.argsort(order)]  # back to configuration order,
+        picks.sort(axis=1)                # and nodes increase strictly: point order
+        parts.append(picks[picks < n])
     return np.concatenate(parts), np.r_[0, np.cumsum(sizes)]
 
 

@@ -133,12 +133,21 @@ WORKING_RANGES = {
 _SMALL_T = 1e-4
 
 
+def _finite_sinc_argument(name, t):
+    t_arr = np.asarray(t, dtype=float)
+    bad = ~np.isfinite(t_arr)
+    if bad.any():
+        raise DomainError(f"{name} requires finite t, got {t_arr[bad][0]}")
+    return t_arr
+
+
 def sinc(t):
     """sin(pi t)/(pi t) with the removable singularity handled by series.
 
-    Accepts scalars or numpy arrays; relative error below 1e-12.
+    Accepts scalars or numpy arrays of finite t; relative error below 1e-12.
+    NaN and +-inf raise DomainError.
     """
-    t_arr = np.asarray(t, dtype=float)
+    t_arr = _finite_sinc_argument("sinc", t)
     u = np.pi * t_arr
     small = np.abs(t_arr) < _SMALL_T
     u_safe = np.where(small, 1.0, u)
@@ -152,8 +161,8 @@ def sinc(t):
 
 
 def sinc_derivative(t):
-    """Derivative of sinc; odd, vanishes at 0."""
-    t_arr = np.asarray(t, dtype=float)
+    """Derivative of sinc; odd, vanishes at 0.  NaN and +-inf raise DomainError."""
+    t_arr = _finite_sinc_argument("sinc_derivative", t)
     u = np.pi * t_arr
     small = np.abs(t_arr) < _SMALL_T
     t_safe = np.where(small, 1.0, t_arr)

@@ -1,4 +1,6 @@
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -216,7 +218,7 @@ def test_block_draws_follow_the_discrete_dpp_law():
 @pytest.mark.parametrize("n", [8, 24])
 def test_block_draws_full_rank_projection_take_every_node(n):
     vectors, _ = np.linalg.qr(np.random.default_rng(n).standard_normal((n, n)))
-    count = 2 * sampler._BLOCK + 3
+    count = 2 * sampler._chunk_size(n, n) + 3
     indices, offsets = sampler._draw_range(np.ones(n), vectors, 9, 0, count)
     assert np.array_equal(offsets, n * np.arange(count + 1))
     assert all(cfg == list(range(n)) for cfg in _index_lists(indices, offsets))
@@ -224,7 +226,8 @@ def test_block_draws_full_rank_projection_take_every_node(n):
 
 def test_block_draw_shards_across_a_block_boundary():
     _, s, vectors = sampler.solve(SINE, Interval(-1.0, 2.0), 64)
-    a, b = sampler._BLOCK + 37, 3 * sampler._BLOCK + 5
+    chunk = sampler._chunk_size(64, np.count_nonzero(s.eigenvalues > 0.0))
+    a, b = chunk + 37, 3 * chunk + 5
     parts = [sampler._draw_range(s.eigenvalues, vectors, 7, lo, hi)
              for lo, hi in ((0, a), (a, b), (0, b))]
     first, second, whole = (_index_lists(*p) for p in parts)
@@ -233,18 +236,84 @@ def test_block_draw_shards_across_a_block_boundary():
 
 def test_block_draws_projection_system_every_size_three():
     # lambda = 1, 1, 1, 0, ...: every coin pass selects the same three
-    # eigenvectors, so each block is a single group with m = 3
+    # eigenvectors, so every configuration of every chunk has m = 3
     n = 40
     vectors, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
     lams = np.zeros(n)
     lams[:3] = 1.0
-    count = 3 * sampler._BLOCK + 17
+    count = 3 * sampler._chunk_size(n, 3) + 17
     indices, offsets = sampler._draw_range(lams, vectors, 5, 0, count)
     assert np.array_equal(offsets, 3 * np.arange(count + 1))
     got = _index_lists(indices, offsets)
     assert all(len(set(cfg)) == 3 for cfg in got)
     for k, cfg in enumerate(got):
         assert cfg == _reference_draw(lams, vectors, 5, k), k
+
+
+def test_block_draw_shards_far_along_the_stream():
+    # configuration indices beyond 2^32 and 2^40 key their own streams too
+    _, s, vectors = sampler.solve(SINE, Interval(-1.0, 2.0), 64)
+    chunk = sampler._chunk_size(64, np.count_nonzero(s.eigenvalues > 0.0))
+    base = 2 ** 40
+    a, b = base + chunk - 11, base + 2 * chunk + 3
+    parts = [sampler._draw_range(s.eigenvalues, vectors, 7, lo, hi)
+             for lo, hi in ((base, a), (a, b), (base, b))]
+    first, second, whole = (_index_lists(*p) for p in parts)
+    assert first + second == whole
+    for k in list(range(40)) + list(range(a - base - 20, a - base + 20)):
+        assert whole[k] == _reference_draw(s.eigenvalues, vectors, 7, base + k), k
+
+
+def test_block_draws_with_interior_zero_eigenvalues():
+    # the live coins are not a prefix of the stream: zeros sit between them
+    n = 23
+    vectors, _ = np.linalg.qr(np.random.default_rng(23).standard_normal((n, n)))
+    lams = np.zeros(n)
+    lams[[0, 2, 3, 7, 12, 13, 20]] = [0.9, 0.8, 0.6, 0.5, 0.35, 0.2, 0.95]
+    got = _index_lists(*sampler._draw_range(lams, vectors, 2 ** 63 + 5, 0, 3_000))
+    for k, cfg in enumerate(got):
+        assert cfg == _reference_draw(lams, vectors, 2 ** 63 + 5, k), k
+
+
+def test_full_rank_draw_memory_is_bounded_by_the_chunk():
+    # order 512, every eigenvalue 1: one configuration per chunk, so the
+    # temporaries stay near the (r, n) eigenvector copies
+    n = 512
+    vectors, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((n, n)))
+    lams = np.ones(n)
+    assert sampler._chunk_size(n, n) == 1
+    tracemalloc.start()
+    try:
+        indices, offsets = sampler._draw_range(lams, vectors, 1, 0, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak
+    assert np.array_equal(offsets, n * np.arange(3))
+    assert all(cfg == list(range(n)) for cfg in _index_lists(indices, offsets))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 63 + 5, -1])
+@pytest.mark.parametrize("n", [5, 10, 23])       # n % 4 = 1, 2, 3
+def test_philox_doubles_match_numpy_philox(seed, n):
+    # interior zeros: the live coins are no prefix, and from position n on the
+    # pick doubles straddle 4-word Philox blocks
+    lams = np.zeros(n)
+    lams[1::3] = 0.5
+    live = np.flatnonzero(lams > 0.0)
+    positions = np.r_[live, n + np.arange(6)]
+    configs = [0, 1, 2 ** 32 + 7, 2 ** 40]
+    got = sampler._philox_doubles(seed, configs, positions)
+    assert got.shape == (len(configs), positions.size)
+    for row, k in zip(got, configs):
+        key = np.array([seed & 0xFFFFFFFFFFFFFFFF, k], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).random(n + 6)[positions]
+        assert row.tobytes() == want.tobytes(), k
+
+
+def test_philox_doubles_of_an_empty_live_set():
+    assert sampler._philox_doubles(3, [0, 2 ** 40], np.flatnonzero(np.zeros(7) > 0.0)).shape \
+        == (2, 0)
 
 
 def test_block_draws_empty_system():
@@ -311,6 +380,16 @@ def test_batch_layout_matches_configurations():
     assert batch.configurations == split
     assert all(c == sorted(c) for c in batch.configurations)
     assert sum(map(len, split)) > 300  # mean count 3: the layout is exercised
+
+
+def test_to_jsonl_is_json_dumps_per_configuration():
+    batch = sampler.sample(SINE, Interval(0.0, 1.0), 48, 300, seed=13)
+    want = "\n".join(json.dumps(cfg) for cfg in batch.configurations) + "\n"
+    assert batch.to_jsonl() == want
+    lengths = {len(cfg) for cfg in batch.configurations}
+    assert 0 in lengths and max(lengths) >= 2       # "[]" and ", " are exercised
+    empty = sampler.sample(SINE, Interval(0.0, 1.0), 48, 0, seed=13)
+    assert empty.to_jsonl() == "\n"
 
 
 def test_sine_mean_count_three_sigma():

@@ -98,6 +98,23 @@ def test_sinc_derivative_fd_oracle():
     assert sf.sinc_derivative(0.3) == pytest.approx(fd, abs=1e-8)
 
 
+@pytest.mark.parametrize("f", [sf.sinc, sf.sinc_derivative])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf,
+                               np.array([0.1, math.nan]), np.array([[2.0, 0.0], [math.inf, 1.0]])])
+def test_sinc_family_rejects_non_finite(f, t):
+    with pytest.raises(sf.DomainError):
+        f(t)
+
+
+@pytest.mark.parametrize("f", [sf.sinc, sf.sinc_derivative])
+def test_sinc_family_array_equals_scalar_calls(f):
+    # both branches (|t| < 1e-4 and beyond), one array call or a call per point
+    t = np.array([0.0, -3e-5, 9.9e-5, 1e-4, 0.3, -2.5, 17.25, -1e6])
+    got = f(t)
+    assert np.all(np.isfinite(got))
+    assert got.tolist() == [f(float(v)) for v in t]
+
+
 # ---------------------------------------------------------------------------
 # Bessel
 # ---------------------------------------------------------------------------
