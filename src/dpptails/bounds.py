@@ -374,35 +374,42 @@ def exp_moment_log_bound(spec, window, lam, n_max=64):
     return _exp_moment_log_bound(b_tilde, delta, lam)
 
 
-def _c_from_b(b, sigma, lambda_max, exponent_scale, grid_points):
+GRID_POINTS = 200   # c is fit on the lambda grid lambda_max/200 .. lambda_max
+
+
+def _c_from_b(b, sigma, lambda_max, exponent_scales):
+    """The smallest dominating c for each exponent scale, all fit to one grid
+    of exp-moment bounds."""
     lambda_max = float(lambda_max)
     if lambda_max <= 1.0:
         raise ValueError("need lambda_max > 1")
     b_tilde, delta = rewrite_b_tilde(b, sigma)
-    lams = [lambda_max * (k + 1) / grid_points for k in range(grid_points)]
+    lams = [lambda_max * (k + 1) / GRID_POINTS for k in range(GRID_POINTS)]
     bound_logs = [_exp_moment_log_bound(b_tilde, delta, lam) for lam in lams]
-    growth = [math.expm1(min(700.0, exponent_scale * sigma * lam)) for lam in lams]
 
-    def dominates(c):
+    def dominates(c, growth):
         return all(bl <= c * g for bl, g in zip(bound_logs, growth))
 
-    # the quotients are rounded to nearest, and so are the products c * g:
-    # move by single doubles to the smallest c that dominates in floating point
-    c = max(0.0, max(bl / g for bl, g in zip(bound_logs, growth)))
-    while c > 0.0 and dominates(math.nextafter(c, 0.0)):
-        c = math.nextafter(c, 0.0)
-    while math.isfinite(c) and not dominates(c):
-        c = math.nextafter(c, math.inf)
-    if not math.isfinite(c):
-        raise CertificateError("no finite c dominates on the grid")
-    return c
+    cs = []
+    for scale in exponent_scales:
+        growth = [math.expm1(min(700.0, scale * sigma * lam)) for lam in lams]
+        # the quotients are rounded to nearest, and so are the products c * g:
+        # move by single doubles to the smallest c that dominates in floating point
+        c = max(0.0, max(bl / g for bl, g in zip(bound_logs, growth)))
+        while c > 0.0 and dominates(math.nextafter(c, 0.0), growth):
+            c = math.nextafter(c, 0.0)
+        while math.isfinite(c) and not dominates(c, growth):
+            c = math.nextafter(c, math.inf)
+        if not math.isfinite(c):
+            raise CertificateError("no finite c dominates on the grid")
+        cs.append(c)
+    return cs
 
 
-def c_constant(spec, window, lambda_max, exponent_scale=4.0, grid_points=200,
-               n_max=64):
+def c_constant(spec, window, lambda_max, exponent_scale=4.0, n_max=64):
     """Smallest double c with
     exp_moment_log_bound(lam) <= c (exp(exponent_scale * sigma * lam) - 1)
-    on the uniform grid lam in {lambda_max/grid_points .. lambda_max}.
+    on the uniform grid lam in {lambda_max/GRID_POINTS .. lambda_max}.
 
     c is the grid maximum of bound/growth in closed form, moved to the
     smallest double whose products dominate every grid point in floating
@@ -413,8 +420,7 @@ def c_constant(spec, window, lambda_max, exponent_scale=4.0, grid_points=200,
     finite c covers arbitrarily small lam.
     """
     sigma = _resolve_envelope(spec, window).order
-    return _c_from_b(b_constant(spec, window, n_max), sigma, lambda_max,
-                     exponent_scale, grid_points)
+    return _c_from_b(b_constant(spec, window, n_max), sigma, lambda_max, [exponent_scale])[0]
 
 
 def combination_d(psi_at_1, psi_prime_at_0):
@@ -507,8 +513,7 @@ def build_bound_report(spec, window, n_max=64, lambda_max=3.0):
     b = _b_from_tails(sigma, [lb for _, lb in table])
     b_tilde, delta = rewrite_b_tilde(b, sigma)
     _, c1, c2, _ = laplace_integral_bound(b_tilde, delta, 1.0)
-    c = _c_from_b(b, sigma, lambda_max, 4.0, 200)
-    c_sigma = _c_from_b(b, sigma, lambda_max, 1.0, 200)
+    c, c_sigma = _c_from_b(b, sigma, lambda_max, [4.0, 1.0])
     # lemma constant for the normalized exponent curve (Psi(0)=1, Psi(1)=2)
     psi1 = 2.0
     psi_prime0 = (1.0 / delta) / math.expm1(1.0 / delta)

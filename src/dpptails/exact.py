@@ -153,36 +153,47 @@ def discretize(spec, window, order):
 # ---------------------------------------------------------------------------
 
 def _round_robin_pairs(n):
-    """Tournament schedule: n-1 rounds of floor(n/2) disjoint pairs covering
-    every index pair exactly once."""
+    """Tournament schedule as (ps, qs) index arrays, one row per round: every
+    index pair appears exactly once, as ps < qs, and the floor(n/2) pairs of
+    a round are disjoint."""
     players = list(range(n)) + ([-1] if n % 2 else [])
     m = len(players)
     rounds = []
     for _ in range(m - 1):
-        pairs = [(players[i], players[m - 1 - i]) for i in range(m // 2)
-                 if players[i] >= 0 and players[m - 1 - i] >= 0]
-        rounds.append([(min(p, q), max(p, q)) for p, q in pairs])
+        rounds.append([(players[i], players[m - 1 - i]) for i in range(m // 2)
+                       if players[i] >= 0 and players[m - 1 - i] >= 0])
         players = [players[0], players[-1]] + players[1:-1]
-    return rounds
+    pairs = np.sort(np.array(rounds), axis=-1)
+    return pairs[..., 0], pairs[..., 1]
 
 
-def jacobi_eigh(a, want_vectors=False, tol=1e-14, max_sweeps=50):
-    """Eigenvalues (and optionally vectors) of a symmetric matrix by cyclic
-    Jacobi sweeps.  Stops when the off-diagonal Frobenius norm drops below
-    tol; raises ValueError on non-finite input and specfun.ConvergenceError
-    if the norm is still >= tol after max_sweeps.  The rotation order is a
-    fixed round-robin, so results are bit-reproducible; rotations within one
-    round act on disjoint index pairs and are applied as a single orthogonal
-    similarity.
+def _rotate_columns(m, ps, qs, c, s):
+    """Rotate the column pairs (ps, qs) of m in place by Givens (c, s); m.T rotates rows."""
+    mp, mq = m[:, ps], m[:, qs]
+    m[:, ps] = mp * c - mq * s
+    m[:, qs] = mp * s + mq * c
+
+
+def jacobi_eigh(a, tol=1e-14, max_sweeps=50):
+    """(eigenvalues, eigenvectors) of a symmetric matrix by cyclic Jacobi
+    sweeps; column k of the orthogonal vector matrix belongs to value k.
+
+    Stops when the off-diagonal Frobenius norm drops below tol; raises
+    ValueError on non-finite input and specfun.ConvergenceError if the norm
+    is still >= tol after max_sweeps.  The rotation order is a fixed
+    round-robin, so results are bit-reproducible; the rotations of one round
+    act on disjoint index pairs and are applied as one orthogonal similarity.
     """
     a = np.array(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise ValueError("jacobi_eigh needs a finite matrix")
     n = a.shape[0]
-    if n == 1:
-        return (a.ravel().copy(), np.ones((1, 1))) if want_vectors else a.ravel().copy()
-    v = np.eye(n) if want_vectors else None
-    rounds = _round_robin_pairs(n)
+    if n <= 1:
+        return a.ravel().copy(), np.eye(n)
+    # rows of A and of V^T turn alike: one update on [A | V^T], then A's columns
+    av = np.concatenate([a, np.eye(n)], axis=1)
+    a = av[:, :n]
+    schedule = _round_robin_pairs(n)
     skip = tol / (4.0 * n)
     for sweep in range(max_sweeps + 1):
         # off-diagonal Frobenius norm, summed directly (the subtraction form
@@ -195,40 +206,21 @@ def jacobi_eigh(a, want_vectors=False, tol=1e-14, max_sweeps=50):
             raise specfun.ConvergenceError(
                 f"jacobi_eigh: off-diagonal norm {off:.3e} >= tol {tol:.1e} "
                 f"after {max_sweeps} sweeps")
-        for pairs in rounds:
-            ps = np.array([p for p, q in pairs])
-            qs = np.array([q for p, q in pairs])
+        for ps, qs in zip(*schedule):
             apq = a[ps, qs]
             act = np.abs(apq) > skip
             if not np.any(act):
                 continue
             ps, qs, apq = ps[act], qs[act], apq[act]
-            app = a[ps, ps]
-            aqq = a[qs, qs]
-            tau = (aqq - app) / (2.0 * apq)
+            tau = (a[qs, qs] - a[ps, ps]) / (2.0 * apq)
             t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
             t[tau == 0.0] = 1.0
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
-            rp = a[ps, :].copy()
-            rq = a[qs, :].copy()
-            a[ps, :] = c[:, None] * rp - s[:, None] * rq
-            a[qs, :] = s[:, None] * rp + c[:, None] * rq
-            cp = a[:, ps].copy()
-            cq = a[:, qs].copy()
-            a[:, ps] = cp * c[None, :] - cq * s[None, :]
-            a[:, qs] = cp * s[None, :] + cq * c[None, :]
-            a[ps, qs] = 0.0
-            a[qs, ps] = 0.0
-            if want_vectors:
-                vp = v[:, ps].copy()
-                vq = v[:, qs].copy()
-                v[:, ps] = vp * c[None, :] - vq * s[None, :]
-                v[:, qs] = vp * s[None, :] + vq * c[None, :]
-    evals = np.diag(a).copy()
-    if want_vectors:
-        return evals, v
-    return evals
+            _rotate_columns(av.T, ps, qs, c, s)
+            _rotate_columns(a, ps, qs, c, s)
+            a[ps, qs] = a[qs, ps] = 0.0
+    return np.diag(a).copy(), av[:, n:].T.copy()
 
 
 _RANGE_BAND = 1e-6
@@ -272,16 +264,16 @@ def _orthonormal_columns(rows):
     return q
 
 
-def _low_rank_solve(a, want_vectors):
+def _low_rank_solve(a):
     """Rayleigh-Ritz on a times the pivoted-Cholesky range of symmetric a.
 
-    Returns (raw, vectors, rank, truncated_mass): the r Ritz values padded
-    with zeros to length n, the lifted Ritz vectors padded with zero columns
-    (None unless want_vectors), r, and an outward-rounded bound on the
-    positive spectral mass of a beyond rank r.  With E = a - Q B Q^T,
-    Weyl's inequality gives lambda_{r+k}(a) <= lambda_k(E), so that mass is
-    at most (tr E + sqrt(n) ||E||_F) / 2.  Raises SpectrumRangeError when
-    ||E||_F exceeds the range band: an indefinite part the factor skipped.
+    Returns (ritz, vectors, truncated_mass): the r Ritz values, the lifted
+    Ritz vectors as an n x r block whose column k belongs to ritz[k], and an
+    outward-rounded bound on the positive spectral mass of a beyond rank r.
+    With E = a - Q B Q^T, Weyl's inequality gives lambda_{r+k}(a) <=
+    lambda_k(E), so that mass is at most (tr E + sqrt(n) ||E||_F) / 2.
+    Raises SpectrumRangeError when ||E||_F exceeds the range band: an
+    indefinite part the factor skipped.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -295,8 +287,7 @@ def _low_rank_solve(a, want_vectors):
     r = q.shape[1]
     b = q.T @ (a @ q)
     b = 0.5 * (b + b.T)
-    solved = jacobi_eigh(b, want_vectors=want_vectors)
-    ritz, w = solved if want_vectors else (solved, None)
+    ritz, w = jacobi_eigh(b)
     e = a - q @ (b @ q.T)
     fro = float(np.linalg.norm(e))
     if fro > _RANGE_BAND:
@@ -307,38 +298,36 @@ def _low_rank_solve(a, want_vectors):
     de = np.diag(e)
     tr_up = float(np.sum(de)) + n * _EPS * float(np.sum(np.abs(de)))
     bound = 0.5 * (tr_up + math.sqrt(n) * fro * (1.0 + n * _EPS))
-    mass = math.nextafter(max(bound, 0.0), math.inf)
-    raw = np.concatenate([ritz, np.zeros(n - r)])
-    vectors = None
-    if want_vectors:
-        vectors = np.zeros((n, n))
-        vectors[:, :r] = q @ w
-    return raw, vectors, r, mass
+    return ritz, q @ w, math.nextafter(max(bound, 0.0), math.inf)
 
 
-def _spectrum_from_solve(raw, vectors, rank, mass):
-    order = np.argsort(-raw, kind="stable")
-    raw = raw[order]
-    viol = max(0.0, float(-raw.min()), float(raw.max() - 1.0))
+def _solve(d):
+    """(Spectrum, n x r eigenvector block) of a DiscretizedKernel: the r Ritz
+    pairs sorted once, descending (stable), range-checked and clipped, with
+    only the eigenvalues padded by zeros to length n."""
+    ritz, vectors, mass = _low_rank_solve(d.matrix)
+    order = np.argsort(-ritz, kind="stable")
+    ritz = ritz[order]
+    clipped = np.clip(ritz, 0.0, 1.0)
+    viol = float(np.max(np.abs(ritz - clipped), initial=0.0))
     if viol > _RANGE_BAND:
         raise SpectrumRangeError(
             f"raw eigenvalue outside [-1e-6, 1+1e-6] by {viol:.3e}; raise the quadrature order")
-    spec = Spectrum(np.clip(raw, 0.0, 1.0), viol, mass, rank)
-    if vectors is None:
-        return spec
-    return spec, vectors[:, order]
+    padded = np.concatenate([clipped, np.zeros(d.matrix.shape[0] - ritz.size)])
+    return Spectrum(padded, viol, mass, ritz.size), vectors[:, order]
 
 
 def spectrum(d):
     """Spectrum of a DiscretizedKernel, eigenvalues descending and clipped;
     entries beyond the numerical rank are zeros covered by truncated_mass."""
-    return _spectrum_from_solve(*_low_rank_solve(d.matrix, want_vectors=False))
+    return _solve(d)[0]
 
 
 def eigensystem(d):
-    """(Spectrum, eigenvector matrix) with columns matching the eigenvalues;
-    the columns of the zero entries beyond the numerical rank are zero."""
-    return _spectrum_from_solve(*_low_rank_solve(d.matrix, want_vectors=True))
+    """(Spectrum, eigenvectors): an n x r block whose column k belongs to
+    eigenvalue k, for the r = Spectrum.rank solved pairs; the zeros beyond
+    the numerical rank have no column."""
+    return _solve(d)
 
 
 # ---------------------------------------------------------------------------

@@ -239,10 +239,9 @@ def _airy_kernel(x, y):
                          lambda m, fm: fm[1] * fm[1] - m * fm[0] * fm[0])
 
 
-def _airy_kernel_dy(x, y):
-    """partial_y of the Airy kernel on 1-d arrays of point pairs; pairs in
-    the band take its Taylor expansion about x."""
-    ai, aip = specfun._airy_pairs(np.concatenate([x, y]))
+def _airy_kernel_dy(x, y, ai, aip):
+    """partial_y of the Airy kernel on 1-d arrays of pairs, from (Ai, Ai') at
+    concatenate([x, y]); pairs in the band take its Taylor expansion about x."""
     ax, apx, ay, apy = ai[:x.size], aip[:x.size], ai[x.size:], aip[x.size:]
     d = x - y
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -335,11 +334,11 @@ def eval_matrix(spec, x, y):
         if bad.any():
             raise DomainError(f"airy4 kernel working range is [-10, 15], got {both[bad][0]}")
         tail = airy_tail_integral(both)
-        ai = specfun._airy_pairs(both)[0]
+        ai, aip = specfun._airy_pairs(both)
         kern = _airy_kernel(both, np.concatenate([y, x]))
         px, py, aix, aiy = tail[:n], tail[n:], ai[:n], ai[n:]
         a11 = -0.5 * _airy_kernel_tail_integral(x, y) + 0.25 * px * py
-        a22 = 0.5 * _airy_kernel_dy(x, y) + 0.25 * aix * aiy
+        a22 = 0.5 * _airy_kernel_dy(x, y, ai, aip) + 0.25 * aix * aiy
         a12 = 0.5 * kern[:n] - 0.25 * aiy * px
         a21 = -(0.5 * kern[n:] - 0.25 * aix * py)
         entries = np.stack([a11, a12, a21, a22], axis=-1)

@@ -294,6 +294,7 @@ def _chunk_size(n, r):
 def _draw_range(lams, vectors, seed, start, stop):
     """Configurations start..stop-1 as (flat node indices, offsets).
 
+    Column k of `vectors` (n x r or wider) is the eigenvector of live lams[k].
     Configuration k reads its own Philox stream keyed (seed, k): the coins of
     the r live eigenvalues (lambda > 0) at their positions among the first n
     doubles, then one pick double per chain-rule step from position n on.
@@ -358,7 +359,8 @@ def _draw_range(lams, vectors, seed, start, stop):
 
 
 def solve(spec, window, order):
-    """(DiscretizedKernel, Spectrum, eigenvectors) that `sample` draws from."""
+    """(DiscretizedKernel, Spectrum, eigenvectors) that `sample` draws from;
+    the eigenvectors are the n x r block of `exact.eigensystem`."""
     d = exact.discretize(spec, window, order)
     return (d, *exact.eigensystem(d))
 

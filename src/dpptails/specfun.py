@@ -115,8 +115,11 @@ class EvalAccuracy:
 
 
 WORKING_RANGES = {
-    "sinc": EvalAccuracy(1e-300, 1e-12, (-math.inf, math.inf)),
-    "sinc_derivative": EvalAccuracy(1e-300, 1e-12, (-math.inf, math.inf)),
+    # |fl(pi t) - pi t| <= 1.5e-16 |pi t| moves sin(pi t) by as much: 1.5e-16
+    # absolute near the zeros; (u cos u - sin u) / (pi t^2) keeps the
+    # 2.5 eps |u| rounding of its numerator, 2.5 eps / |t| <= 5.5e-12 at the cut
+    "sinc": EvalAccuracy(2e-16, 1e-12, (-math.inf, math.inf)),
+    "sinc_derivative": EvalAccuracy(6e-12, 1e-12, (-math.inf, math.inf)),
     "sinc_antiderivative": EvalAccuracy(1e-14, 1e-10, (-50.0, 50.0)),
     # the ascending series loses digits to cancellation beyond x = 40
     # (see bessel_j docstring), so the range stops there
@@ -131,48 +134,48 @@ WORKING_RANGES = {
 # ---------------------------------------------------------------------------
 
 _SMALL_T = 1e-4
+# doubles beyond 2^53 are even integers, where sin(pi t) = 0 and cos(pi t) = 1;
+# from _HUGE_T on those exact values replace pi t and t^2, which overflow
+_HUGE_T = 2.0 ** 256
 
 
-def _finite_sinc_argument(name, t):
+def _sinc_argument(name, t):
+    """(t, small, huge, u, us): t as a float array (NaN and +-inf raise
+    DomainError), the masks |t| < _SMALL_T and |t| >= _HUGE_T, u = pi t with
+    the huge points at pi, and us = u on the small points, 0 elsewhere."""
     t_arr = np.asarray(t, dtype=float)
     bad = ~np.isfinite(t_arr)
     if bad.any():
         raise DomainError(f"{name} requires finite t, got {t_arr[bad][0]}")
-    return t_arr
+    mag = np.abs(t_arr)
+    small, huge = mag < _SMALL_T, mag >= _HUGE_T
+    u = np.pi * np.where(huge, 1.0, t_arr)
+    return t_arr, small, huge, u, np.where(small, u, 0.0)
 
 
 def sinc(t):
     """sin(pi t)/(pi t) with the removable singularity handled by series.
 
-    Accepts scalars or numpy arrays of finite t; relative error below 1e-12.
-    NaN and +-inf raise DomainError.
+    Accepts scalars or numpy arrays of finite t; the error bound is
+    WORKING_RANGES["sinc"].  NaN and +-inf raise DomainError.
     """
-    t_arr = _finite_sinc_argument("sinc", t)
-    u = np.pi * t_arr
-    small = np.abs(t_arr) < _SMALL_T
-    u_safe = np.where(small, 1.0, u)
-    direct = np.sin(u) / u_safe
-    u2 = u * u
+    _, small, huge, u, us = _sinc_argument("sinc", t)
+    u2 = us * us
     series = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
-    out = np.where(small, series, direct)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    out = np.where(small, series, np.sin(u) / np.where(small, 1.0, u))
+    out[huge] = 0.0
+    return float(out) if out.ndim == 0 else out
 
 
 def sinc_derivative(t):
     """Derivative of sinc; odd, vanishes at 0.  NaN and +-inf raise DomainError."""
-    t_arr = _finite_sinc_argument("sinc_derivative", t)
-    u = np.pi * t_arr
-    small = np.abs(t_arr) < _SMALL_T
-    t_safe = np.where(small, 1.0, t_arr)
-    direct = (u * np.cos(u) - np.sin(u)) / (np.pi * t_safe * t_safe)
-    u2 = u * u
-    series = np.pi * u * (-1.0 / 3.0 + u2 / 30.0 * (1.0 - u2 / 28.0))
-    out = np.where(small, series, direct)
-    if np.ndim(t) == 0:
-        return float(out)
-    return out
+    t_arr, small, huge, u, us = _sinc_argument("sinc_derivative", t)
+    u2 = us * us
+    series = np.pi * us * (-1.0 / 3.0 + u2 / 30.0 * (1.0 - u2 / 28.0))
+    t_safe = np.where(small | huge, 1.0, t_arr)
+    out = np.where(small, series, (u * np.cos(u) - np.sin(u)) / (np.pi * t_safe * t_safe))
+    out[huge] = 1.0 / t_arr[huge]
+    return float(out) if out.ndim == 0 else out
 
 
 def sinc_antiderivative(t):

@@ -155,7 +155,7 @@ def _reference_draw(lams, vectors, seed, index):
     m = int(np.count_nonzero(sel))
     if m == 0:
         return []
-    v = vectors[:, sel].copy()
+    v = vectors[:, np.flatnonzero(sel)]   # the mask is n wide, the live columns < r
     picked = []
     for step in range(m):
         diag = np.einsum("ij,ij->i", v, v)
@@ -335,15 +335,15 @@ def test_sample_negative_count_raises():
 
 def test_draws_match_padded_eigh_eigensystem():
     # the same index lists as from np.linalg.eigh's eigenpairs, kept to the
-    # solved rank and padded with zeros the way exact.eigensystem pads
+    # solved rank the way exact.eigensystem keeps them: eigenvalues padded
+    # with zeros to length n, eigenvectors as the n x r block
     d = exact.discretize(SINE, Interval(-3.0, 3.0), 128)
     s, vectors = exact.eigensystem(d)
     values, basis = np.linalg.eigh(d.matrix)
     r = s.rank
     lams = np.zeros(values.size)
     lams[:r] = np.clip(values[::-1][:r], 0.0, 1.0)
-    ref = np.zeros_like(basis)
-    ref[:, :r] = basis[:, ::-1][:, :r]
+    ref = basis[:, ::-1][:, :r]
     got = _index_lists(*sampler._draw_range(s.eigenvalues, vectors, 17, 0, 10_000))
     want = _index_lists(*sampler._draw_range(lams, ref, 17, 0, 10_000))
     assert len(got) == len(want) == 10_000

@@ -115,6 +115,17 @@ def test_sinc_family_array_equals_scalar_calls(f):
     assert got.tolist() == [f(float(v)) for v in t]
 
 
+@pytest.mark.parametrize("f, exact", [(sf.sinc, np.zeros_like),
+                                      (sf.sinc_derivative, lambda t: 1.0 / t)])
+def test_sinc_family_far_out_is_exact_and_quiet(f, exact):
+    # every double beyond 2^53 is an even integer: sinc(t) = 0, sinc'(t) = 1/t;
+    # pi t and t^2 would overflow here, and pytest turns their warning into an error
+    t = np.array([1e80, 1e160, 1.7e308, -1e80, -1e160, -1.7e308])
+    got = f(t)
+    assert got.tobytes() == exact(t).tobytes()
+    assert got.tolist() == [f(float(v)) for v in t]
+
+
 # ---------------------------------------------------------------------------
 # Bessel
 # ---------------------------------------------------------------------------
