@@ -264,6 +264,60 @@ def _orthonormal_columns(rows):
     return q
 
 
+# rows * inner * cols of one matrix product.  OpenBLAS 0.3.31 (numpy 2.4,
+# 2 cores) runs dgemm on the calling thread up to 786 432 and wakes a second
+# thread from 1 179 648; a woken thread spins ~120 ms of CPU after the call
+# and buys no wall time at these sizes, so each product stays 6x below.
+_BLAS_BLOCK = 1 << 17
+
+
+def _row_blocks(m, inner, cols):
+    """Row slices of an (m x inner) @ (inner x cols) product, each with
+    rows * inner * cols <= _BLAS_BLOCK (one row at least).  The sizes are
+    balanced, so no block is a single row unless every block is: numpy
+    sends a one-row product to gemv, whose rounding may differ from gemm."""
+    rows = max(1, _BLAS_BLOCK // max(1, inner * cols))
+    count = max(1, -(-m // rows))
+    edges = [m * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _matmul(x, y):
+    """x @ y by row blocks of x (`_row_blocks`).  Each entry is the same
+    inner sum as in the one product, but OpenBLAS picks its kernel by the
+    block's shape, so the rounding may differ.  On the solves measured
+    (ranks 4-16 at orders 128-384) it does not; on random 384 x 384 by
+    384 x 33 products it does, within the dot-product bound."""
+    out = np.empty((x.shape[0], y.shape[1]))
+    for blk in _row_blocks(x.shape[0], x.shape[1], y.shape[1]):
+        out[blk] = x[blk] @ y
+    return out
+
+
+def _residual(a, q, b):
+    """(diagonal, Frobenius norm) of E = a - q b q^T, accumulated per row
+    block (`_row_blocks`), so the n x n residual is never formed.
+
+    The squares of a block are added by numpy's pairwise sum (one run over
+    the contiguous block: 8 running sums of at most 16 terms, then halving),
+    and the at most n block sums in order.  So each square meets at most
+    13 + 2 log2(n) + n roundings of relative size eps/2 on its way to the
+    total, the square root halves that, and the norm is within n eps of
+    the norm of the computed entries for every n >= 8.  A BLAS dot over
+    the n^2 squares adds them in long sequential runs (per SIMD lane or
+    thread), whose worst case grows like n^2 eps.
+    """
+    n, r = q.shape
+    bqt = _matmul(b, q.T)
+    diag = np.empty(n)
+    sumsq = 0.0
+    for blk in _row_blocks(n, r, n):
+        e = a[blk] - q[blk] @ bqt
+        diag[blk] = e.diagonal(blk.start)
+        sumsq += float(np.sum(e * e))
+    return diag, math.sqrt(sumsq)
+
+
 def _low_rank_solve(a):
     """Rayleigh-Ritz on a times the pivoted-Cholesky range of symmetric a.
 
@@ -274,6 +328,15 @@ def _low_rank_solve(a):
     lambda_k(E), so that mass is at most (tr E + sqrt(n) ||E||_F) / 2.
     Raises SpectrumRangeError when ||E||_F exceeds the range band: an
     indefinite part the factor skipped.
+
+    The n x n x r products run in row blocks (`_matmul`, `_residual`) and
+    ||E||_F is a numpy sum, not a BLAS dot, so OpenBLAS runs every call on
+    the calling thread and each output is the same at any thread count
+    (the matrix-vector products of the factor and of Gram-Schmidt, r n <=
+    18 432 entries at the orders <= 384 of the workloads, stay there too).
+    tr E is rounded up by n eps sum |E_ii|, the worst case of any order of
+    summation; ||E||_F by the factor (1 + n eps), which covers the pairwise
+    sum per block and the ordered sum over blocks that `_residual` runs.
     """
     a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
@@ -283,22 +346,20 @@ def _low_rank_solve(a):
     # one subspace-iteration step: the pivot columns hold the eigenvectors of
     # small retained eigenvalues only loosely, and a q is sharper by the ratio
     # of the dropped to the retained eigenvalues
-    q = _orthonormal_columns((a @ q).T)
+    q = _orthonormal_columns(_matmul(a, q).T)
     r = q.shape[1]
-    b = q.T @ (a @ q)
+    b = _matmul(q.T, _matmul(a, q))
     b = 0.5 * (b + b.T)
     ritz, w = jacobi_eigh(b)
-    e = a - q @ (b @ q.T)
-    fro = float(np.linalg.norm(e))
+    de, fro = _residual(a, q, b)
     if fro > _RANGE_BAND:
         raise SpectrumRangeError(
             f"residual beyond rank {r} has Frobenius norm {fro:.3e} > {_RANGE_BAND:g}: "
             "the matrix is indefinite beyond the range band")
     # round both sums outward by their worst-case summation error
-    de = np.diag(e)
     tr_up = float(np.sum(de)) + n * _EPS * float(np.sum(np.abs(de)))
     bound = 0.5 * (tr_up + math.sqrt(n) * fro * (1.0 + n * _EPS))
-    return ritz, q @ w, math.nextafter(max(bound, 0.0), math.inf)
+    return ritz, _matmul(q, w), math.nextafter(max(bound, 0.0), math.inf)
 
 
 def _solve(d):

@@ -128,7 +128,8 @@ def _near_diagonal(x, y):
 
 
 def _ratio_kernel(x, y, series, ratio, diag):
-    """Ratio-form kernel at the pairs of x and y, which broadcast.
+    """(kernel, fx): the ratio-form kernel at the pairs of x and y, which
+    broadcast, and the series outputs at the points of x, shaped like x.
 
     series(points) returns one array per entire function of the kernel;
     ratio(x, fx, y, fy) is the divided difference and diag(m, fm) its limit,
@@ -148,7 +149,7 @@ def _ratio_kernel(x, y, series, ratio, diag):
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.asarray(ratio(x, fx, y, fy))
     out[band] = diag(mid, [v[nxy:] for v in f])
-    return out
+    return out, fx
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,7 @@ def _bessel_reduced(s, x, y):
     return _ratio_kernel(
         x, y, lambda p: _bessel_series_triples(s, p),
         lambda x, fx, y, fy: ((x / 4.0) * fx[1] * fy[0] - (y / 4.0) * fy[1] * fx[0]) / (x - y),
-        _bessel_reduced_diag)
+        _bessel_reduced_diag)[0]
 
 
 def _bessel_rho(s, x):
@@ -231,12 +232,18 @@ def _bessel_rho(s, x):
 # Airy kernel pieces
 # ---------------------------------------------------------------------------
 
+def _airy_ratio(x, fx, y, fy):
+    return (fx[0] * fy[1] - fy[0] * fx[1]) / (x - y)
+
+
+def _airy_diag(m, fm):
+    return fm[1] * fm[1] - m * fm[0] * fm[0]
+
+
 def _airy_kernel(x, y):
     """Airy kernel [Ai(x) Ai'(y) - Ai(y) Ai'(x)] / (x - y) at the broadcast
     pairs of x and y."""
-    return _ratio_kernel(x, y, specfun._airy_pairs,
-                         lambda x, fx, y, fy: (fx[0] * fy[1] - fy[0] * fx[1]) / (x - y),
-                         lambda m, fm: fm[1] * fm[1] - m * fm[0] * fm[0])
+    return _ratio_kernel(x, y, specfun._airy_pairs, _airy_ratio, _airy_diag)[0]
 
 
 def _airy_kernel_dy(x, y, ai, aip):
@@ -334,8 +341,9 @@ def eval_matrix(spec, x, y):
         if bad.any():
             raise DomainError(f"airy4 kernel working range is [-10, 15], got {both[bad][0]}")
         tail = airy_tail_integral(both)
-        ai, aip = specfun._airy_pairs(both)
-        kern = _airy_kernel(both, np.concatenate([y, x]))
+        # one Airy series pass gives the kernel and (Ai, Ai') at both
+        kern, (ai, aip) = _ratio_kernel(both, np.concatenate([y, x]), specfun._airy_pairs,
+                                        _airy_ratio, _airy_diag)
         px, py, aix, aiy = tail[:n], tail[n:], ai[:n], ai[n:]
         a11 = -0.5 * _airy_kernel_tail_integral(x, y) + 0.25 * px * py
         a22 = 0.5 * _airy_kernel_dy(x, y, ai, aip) + 0.25 * aix * aiy

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -74,6 +78,24 @@ def test_bad_window_exit_2(tmp_path):
                 "--out", str(tmp_path / "x")]) == 2
     assert run(["bound", "--kernel", "sine", "--window", "zebra",
                 "--out", str(tmp_path / "x")]) == 2
+
+
+def _compare_csv(tmp_path, name, env_extra):
+    # the CLI in a fresh interpreter, so the BLAS thread count takes effect
+    env = dict(os.environ, **env_extra)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = tmp_path / name
+    proc = subprocess.run([sys.executable, "-m", "dpptails.cli", "compare", "--kernel", "airy",
+                           "--window=-1,0", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return (tmp_path / (name + ".csv")).read_bytes()
+
+
+def test_compare_bytes_do_not_depend_on_blas_threads(tmp_path):
+    one = _compare_csv(tmp_path, "one", {"OPENBLAS_NUM_THREADS": "1"})
+    assert one == _compare_csv(tmp_path, "default", {})
 
 
 def _q_spec_file(tmp_path, body):

@@ -1,5 +1,10 @@
 import itertools
+import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -281,6 +286,82 @@ def test_eigensystem_columns_belong_to_the_leading_eigenvalues():
 def test_eigensolve_rejects_non_finite_matrix():
     with pytest.raises(ValueError):
         exact.spectrum(_bare([[0.5, math.nan], [math.nan, 0.5]]))
+
+
+# solves at the orders of the benchmark workloads (128 to 384)
+SOLVE_SYSTEMS = [("airy", -1.0, 0.0, 200), ("sine", -3.0, 3.0, 384), ("airy", -2.0, 0.0, 384),
+                 ("bessel:s=0.5", 0.5, 4.0, 384), ("sine", -3.0, 3.0, 128)]
+
+_EIGENSYSTEM_BITS = """
+import hashlib, json, sys
+from dpptails import exact, kernels
+from dpptails.kernels import Interval
+out = []
+for kid, a, b, order in json.loads(sys.argv[1]):
+    s, v = exact.eigensystem(exact.discretize(kernels.make_kernel(kid), Interval(a, b), order))
+    out.append([[x.hex() for x in s.eigenvalues.tolist()], s.truncated_mass.hex(), s.rank,
+                list(v.shape), hashlib.sha256(v.tobytes()).hexdigest()])
+print(json.dumps(out))
+"""
+
+
+def _eigensystem_bits(systems, env_extra):
+    env = dict(os.environ, **env_extra)
+    src = str(pathlib.Path(exact.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _EIGENSYSTEM_BITS, json.dumps(systems)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout)
+
+
+def test_eigensystem_bits_do_not_depend_on_blas_threads():
+    # one BLAS thread against the inherited default: eigenvalues, mass, rank
+    # and the n x r vector block agree bit for bit
+    systems = SOLVE_SYSTEMS[:3]
+    one = _eigensystem_bits(systems, {"OPENBLAS_NUM_THREADS": "1"})
+    default = _eigensystem_bits(systems, {})
+    for system, a, b in zip(systems, one, default):
+        assert a == b, system
+
+
+@pytest.mark.parametrize("m, inner, cols", [
+    (384, 384, 16), (200, 200, 5), (384, 16, 384), (16, 384, 16), (512, 512, 33),
+    (128, 128, 16), (7, 5, 3), (3, 2000, 2000)])
+def test_row_block_product_stays_in_budget_and_matches(m, inner, cols):
+    blocks = exact._row_blocks(m, inner, cols)
+    sizes = [blk.stop - blk.start for blk in blocks]
+    assert blocks[0].start == 0 and blocks[-1].stop == m
+    assert all(x.stop == y.start for x, y in zip(blocks, blocks[1:]))
+    assert max(sizes) - min(sizes) <= 1
+    assert max(sizes) == 1 or max(sizes) * inner * cols <= exact._BLAS_BLOCK
+    # a block may round differently from the one product, within the
+    # dot-product bound inner * eps * (|x| @ |y|)
+    rng = np.random.default_rng(m + inner + cols)
+    x, y = rng.standard_normal((m, inner)), rng.standard_normal((inner, cols))
+    err = np.abs(exact._matmul(x, y) - x @ y)
+    assert np.all(err <= 2.0 * inner * exact._EPS * (np.abs(x) @ np.abs(y)))
+
+
+@pytest.mark.parametrize("kid, a, b, order", SOLVE_SYSTEMS)
+def test_residual_norm_rounding_covers_the_exact_sum(kid, a, b, order, monkeypatch):
+    seen = []
+    residual = exact._residual
+
+    def spy(mat, q, bq):
+        seen.append((mat, q, bq, residual(mat, q, bq)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(exact, "_residual", spy)
+    exact.spectrum(exact.discretize(kernels.make_kernel(kid), Interval(a, b), order))
+    (mat, q, bq, (diag, fro)), = seen
+    # _matmul splits q's rows as _residual does, so these are its entries
+    e = mat - exact._matmul(q, exact._matmul(bq, q.T))
+    assert np.array_equal(diag, np.diag(e))
+    exact_fro = math.sqrt(math.fsum((e * e).ravel().tolist()))
+    n = mat.shape[0]
+    assert fro * (1.0 + n * exact._EPS) >= exact_fro > 0.0
+    assert exact_fro * (1.0 + n * exact._EPS) >= fro
 
 
 def test_spectrum_json_reports_rank_and_truncated_mass():
