@@ -129,8 +129,8 @@ def _kernel_spec(args):
             "kernels.growth_envelope, not through the interval-based subcommands")
     if spec.block_size == 2 and args.command != "bound":
         raise DomainError(
-            f"{args.command} needs a scalar kernel: Pfaffian processes have no "
-            "Bernoulli counting representation (bounds are available via 'bound')")
+            f"{args.command} is not implemented for the block kernels (sine4, airy4) "
+            "yet; their bounds are available via 'bound'")
     window = args.window
     if spec.kind == "bessel" and spec.bessel_s != 0.0 and window.a <= 0.0:
         raise DomainError(

@@ -24,7 +24,6 @@ from .specfun import (
     _dd_add,
     _dd_div_d,
     _dd_mul,
-    airy_tail_integral,
     sinc,
     sinc_antiderivative,
     sinc_derivative,
@@ -248,30 +247,70 @@ def _airy_kernel(x, y):
 
 def _airy_kernel_dy(x, y, ai, aip):
     """partial_y of the Airy kernel on 1-d arrays of pairs, from (Ai, Ai') at
-    concatenate([x, y]); pairs in the band take its Taylor expansion about x."""
+    concatenate([x, y]); pairs in the band take its second-order Taylor
+    expansion in h = y - x about x, derived with Ai'' = x Ai."""
     ax, apx, ay, apy = ai[:x.size], aip[:x.size], ai[x.size:], aip[x.size:]
     d = x - y
     with np.errstate(divide="ignore", invalid="ignore"):
         out = (ax * y * ay - apx * apy) / d + (ax * apy - ay * apx) / (d * d)
     n2 = ax * ax
     n3 = ax * apx + x * x * n2 - x * apx * apx
+    n4 = 2.0 * x * n2 - apx * apx
+    h = y - x
     band = _near_diagonal(x, y)
-    out[band] = (-0.5 * n2 - (n3 / 3.0) * (y - x))[band]
+    out[band] = (-0.5 * n2 - (n3 / 3.0) * h - (n4 / 4.0) * (h * h))[band]
     return out
 
 
 _AIRY_TAIL_CUT = 14.5  # |Ai| < 1e-17 beyond; truncation negligible
 
 
-def _airy_kernel_tail_integral(x, y, tol=1e-11):
-    """int_x^infinity of the Airy kernel's first slot against fixed y, for
-    1-d arrays of pairs (x, y), as one quadrature batch."""
+def _airy4_parts(x, y):
+    """The Airy pieces of the airy4 blocks at 1-d arrays of pairs (x, y):
+    with p = concatenate([x, y]) and q = concatenate([y, x]), the tails
+    int_p^inf Ai, the kernel tails int_x^cut K(u, y) du, and K(p, q),
+    Ai(p) and Ai'(p).
+
+    The two tail families share one quadrature batch, the Ai tails at
+    tolerance 1e-12 and the kernel tails at 1e-11, so each round makes one
+    Airy pass over the nodes of every pending panel, the y values and the
+    band midpoints; the first round also takes the pairs (p, q).  Every
+    value is bit-identical to its interval, or its pair, alone.
+    """
+    p, q = np.concatenate([x, y]), np.concatenate([y, x])
+    lo, hi, finish = specfun._airy_tail_pieces(p)
+    m = lo.size
+    at_p = []
+
     def integrand(owner, u):
-        return _airy_kernel(u, y[owner][:, None])
+        tail = owner < m
+        nodes = u[tail].ravel()
+        out = np.empty(u.shape)
+
+        def pairs(points):
+            # the kernel's Airy pass also gives Ai at the Ai-tail nodes
+            ai, aip = specfun._airy_pairs(np.concatenate([nodes, points]))
+            out[tail] = ai[:nodes.size].reshape(-1, u.shape[1])
+            return ai[nodes.size:], aip[nodes.size:]
+
+        # each kernel panel's nodes against its y as flat pairs, and in the
+        # first round (the batch always makes one) the pairs (p, q) too
+        kx, ky = u[~tail].ravel(), np.repeat(y[owner[~tail] - m], u.shape[1])
+        split = kx.size
+        if not at_p:
+            kx, ky = np.concatenate([kx, p]), np.concatenate([ky, q])
+        kern, (ai, aip) = _ratio_kernel(kx, ky, pairs, _airy_ratio, _airy_diag)
+        if not at_p:
+            at_p.extend(v[split:] for v in (kern, ai, aip))
+        out[~tail] = kern[:split].reshape(-1, u.shape[1])
+        return out
 
     # x >= the cut gives an empty interval, whose integral is 0
-    return specfun._adaptive_quadrature_batch(
-        integrand, np.minimum(x, _AIRY_TAIL_CUT), np.full(x.shape, _AIRY_TAIL_CUT), tol)
+    totals = specfun._adaptive_quadrature_batch(
+        integrand, np.concatenate([lo, np.minimum(x, _AIRY_TAIL_CUT)]),
+        np.concatenate([hi, np.full(x.shape, _AIRY_TAIL_CUT)]),
+        np.repeat([1e-12, 1e-11], [m, x.size]))
+    return (finish(totals[:m]), totals[m:], *at_p)
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +361,9 @@ def eval_matrix(spec, x, y):
 
     x and y broadcast against each other; the result has shape
     broadcast shape + (2, 2), a single (2, 2) block for scalar points.
-    Every block is bit-identical to evaluating its pair alone.
+    Every block is bit-identical to evaluating its pair alone.  airy4 takes
+    all its Airy values, the Ai tails and the kernel tails of all its pairs
+    included, from one quadrature batch (`_airy4_parts`).
     """
     if spec.block_size != 2:
         raise DomainError(f"eval_matrix needs a block kernel, got {spec.identifier}")
@@ -340,12 +381,9 @@ def eval_matrix(spec, x, y):
         bad = ~((both >= -10.0) & (both <= 15.0))
         if bad.any():
             raise DomainError(f"airy4 kernel working range is [-10, 15], got {both[bad][0]}")
-        tail = airy_tail_integral(both)
-        # one Airy series pass gives the kernel and (Ai, Ai') at both
-        kern, (ai, aip) = _ratio_kernel(both, np.concatenate([y, x]), specfun._airy_pairs,
-                                        _airy_ratio, _airy_diag)
+        tail, ktail, kern, ai, aip = _airy4_parts(x, y)
         px, py, aix, aiy = tail[:n], tail[n:], ai[:n], ai[n:]
-        a11 = -0.5 * _airy_kernel_tail_integral(x, y) + 0.25 * px * py
+        a11 = -0.5 * ktail + 0.25 * px * py
         a22 = 0.5 * _airy_kernel_dy(x, y, ai, aip) + 0.25 * aix * aiy
         a12 = 0.5 * kern[:n] - 0.25 * aiy * px
         a21 = -(0.5 * kern[n:] - 0.25 * aix * py)
@@ -402,45 +440,14 @@ def _bessel_envelope_amplitude(s, b):
     return phi_p * dg + g_p * dphi
 
 
-_MAJORANT_TERMS = 200
-
-
-@lru_cache(maxsize=8)
-def _airy_global_majorants():
-    """(C_A, C_Ap) with |Ai(w)| <= C_A e^{(2/3)|w|^{3/2}} and
-    |Ai'(w)| <= C_Ap (1+|w|)^{1/4} e^{(2/3)|w|^{3/2}} on all of C.
-
-    Both Maclaurin series of Ai have one fixed-sign coefficient family, so
-    |f(w)| <= f(|w|) termwise and the complex bound reduces to the positive
-    real axis, where the majorant H = c1 f + c2 g is evaluated directly.
-    """
-    c1, c2 = 0.3550280538878172, 0.2588194037928068
-    r = np.linspace(0.0, 30.0, 1201)
-    rs = r.tolist()
-
-    def step(k, st):
-        f, g, fp, gp, tf, tg, tb, td, x3, rk = st
-        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
-        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
-        tb = (rk * rk / 2.0) if k == 0 else tb * x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
-        td = td * x3 / ((3 * k + 1) * (3 * k + 3))
-        return [f + tf, g + tg, fp + tb, gp + td, tf, tg, tb, td, x3, rk]
-
-    def converged(k, st):
-        f, g, _, _, tf, tg = st[:6]
-        return (tf < 1e-18 * f) & (tg < 1e-18 * np.maximum(g, 1.0))
-
-    # positive-coefficient series for f, g, f', g' at +r (no cancellation),
-    # one run over all r
-    one, zero = np.ones(r.size), np.zeros(r.size)
-    state = [one, r, zero, one, one, r, zero, one, np.array([v ** 3 for v in rs]), r]
-    f, g, fp, gp = specfun._iterate(step, converged, state, 4, _MAJORANT_TERMS,
-                                    "airy majorant series")
-    damp = np.array([math.exp(-(2.0 / 3.0) * v ** 1.5) for v in rs])
-    root4 = np.array([(1.0 + v) ** 0.25 for v in rs])
-    best_a = float(np.max((c1 * f + c2 * g) * damp))
-    best_ap = float(np.max((c1 * fp + c2 * gp) * damp / root4))
-    return 1.02 * best_a, 1.02 * best_ap
+# (C_A, C_Ap) with |Ai(w)| <= C_A e^{(2/3)|w|^{3/2}} and
+# |Ai'(w)| <= C_Ap (1+|w|)^{1/4} e^{(2/3)|w|^{3/2}} on all of C.  Both
+# Maclaurin series of Ai have one fixed-sign coefficient family, so
+# |f(w)| <= f(|w|) termwise and the complex bound reduces to the positive
+# real axis: 1.02 times the maximum of the majorant c1 f + c2 g (and of its
+# derivative) times the damping, on 1201 points of [0, 30].  The test suite
+# re-derives both values bit for bit.
+_AIRY_MAJORANTS = (0.39888262466694224, 0.32924355403876177)
 
 
 @lru_cache(maxsize=256)
@@ -449,20 +456,17 @@ def _airy_envelope_amplitude(a, b):
 
     Uses (q + r)^{3/2} <= sqrt(2)(q^{3/2} + r^{3/2}) so the growth along the
     r-direction stays below e^{r^{3/2}}; the residual r-profile is maximized
-    on a grid (it decays like e^{(2/3 sqrt2 - 1) r^{3/2}}).
+    on a grid (it decays like e^{(2/3 sqrt2 - 1) r^{3/2}}), for 33 points p
+    of the window as one broadcast.
     """
-    ca, cap = _airy_global_majorants()
-    amp = 0.0
+    ca, cap = _AIRY_MAJORANTS
     ps = np.linspace(a, b, 33)
-    ai_all, aip_all = specfun._airy_pairs(ps)
-    for p, ai, aip in zip(ps, ai_all.tolist(), aip_all.tolist()):
-        q = abs(p)
-        rmax = 4.0 * q + 80.0
-        rr = np.linspace(0.0, rmax, 1600)
-        grow = (2.0 / 3.0) * (q + rr) ** 1.5 - rr ** 1.5
-        prof = (abs(aip) * cap * (1.0 + q + rr) ** 0.25 + abs(ai) * ca * (q + rr)) * np.exp(grow)
-        amp = max(amp, float(prof.max()))
-    return 1.02 * amp
+    ai, aip = (np.abs(v)[:, None] for v in specfun._airy_pairs(ps))
+    rr = np.linspace(0.0, 4.0 * np.abs(ps) + 80.0, 1600, axis=-1)
+    q = np.abs(ps)[:, None]
+    grow = (2.0 / 3.0) * (q + rr) ** 1.5 - rr ** 1.5
+    prof = (aip * cap * (1.0 + q + rr) ** 0.25 + ai * ca * (q + rr)) * np.exp(grow)
+    return 1.02 * float(prof.max())
 
 
 @lru_cache(maxsize=64)

@@ -380,112 +380,138 @@ def _airy_series(x):
     return aih + ail, aph + apl
 
 
-def _airy_asymptotic_pos(x):
-    zeta = (2.0 / 3.0) * x ** 1.5
-    # sum (-1)^k u_k / zeta^k and companion with v_k, smallest-term truncation
-    su, sv = 1.0, 1.0
-    uk = 1.0
-    zk = 1.0
-    prev = math.inf
-    for k in range(0, 60):
-        uk_next = uk * ((6 * k + 1) * (6 * k + 3) * (6 * k + 5)) / (216.0 * (k + 1) * (2 * k + 1))
-        zk *= -1.0 / zeta
-        term_u = uk_next * zk
-        if abs(term_u) >= prev:
-            break
-        vk_next = uk_next * (6 * (k + 1) + 1) / (1.0 - 6 * (k + 1))
-        su += term_u
-        sv += vk_next * zk
-        uk = uk_next
-        prev = abs(term_u)
-    pref = math.exp(-zeta) / (2.0 * math.sqrt(math.pi))
-    ai = pref * su / x ** 0.25
-    aip = -pref * sv * x ** 0.25
-    return ai, aip
+# u_j and v_j (j = 0..60) of the asymptotic expansions, u_0 = v_0 = 1: the
+# same for every x
+_AIRY_ASYMPTOTIC_TERMS = 60
 
 
-def _airy_asymptotic_neg(x):
-    t = -x
-    zeta = (2.0 / 3.0) * t ** 1.5
-    omega = zeta - 0.25 * math.pi
+def _airy_asymptotic_coefficients():
+    u, v = [1.0], [1.0]
+    for j in range(1, _AIRY_ASYMPTOTIC_TERMS + 1):
+        u.append(u[-1] * ((6 * j - 5) * (6 * j - 3) * (6 * j - 1)) / (216.0 * j * (2 * j - 1)))
+        v.append(u[-1] * (6 * j + 1) / (1.0 - 6 * j))
+    return np.array(u), np.array(v)
+
+
+_AIRY_U, _AIRY_V = _airy_asymptotic_coefficients()
+
+
+def _powers(op, step, n):
+    """Rows 1, 1 op step, (1 op step) op step, ... (n steps): the powers of
+    a loop that applies `op` (np.multiply or np.divide) once per term."""
+    return op.accumulate(np.hstack([np.ones((step.size, 1)), np.repeat(step[:, None], n, 1)]), 1)
+
+
+def _smallest_term_sums(mags, *terms):
+    """Each (P, K) array of terms summed left to right along its rows, up
+    to the row's cut: its first k >= 1 with mags[:, k] >= mags[:, k - 1],
+    or K.  Column 0 is the leading 1, which every later term is below."""
+    grow = mags[:, 1:] >= mags[:, :-1]
+    cut = np.where(grow.any(axis=1), grow.argmax(axis=1) + 1, mags.shape[1])
+    keep = np.arange(mags.shape[1]) < cut[:, None]
+    # a cumulative sum adds in sequence, and the zeros past the cut change nothing
+    return [np.cumsum(np.where(keep, t, 0.0), axis=1)[:, -1] for t in terms]
+
+
+def _airy_asymptotic(x):
+    """(Ai, Ai') at a 1-d array of points |x| > _AIRY_SWITCH by the standard
+    asymptotic expansions in 1/zeta, zeta = (2/3)|x|^{3/2}, each point cut
+    at its own smallest term.  `** 1.5`, `** 0.25`, exp, cos and sin are
+    libm at each point."""
+    zeta_all = (2.0 / 3.0) * _per_point(lambda v: v ** 1.5, np.abs(x))
+    root_all = _per_point(lambda v: v ** 0.25, np.abs(x))
+    ai, aip = np.empty(x.shape), np.empty(x.shape)
+    pos = x > 0.0
+    zeta, root = zeta_all[pos], root_all[pos]
+    # sum_k (-1)^k u_k zeta^{-k}, and the same with v_k
+    zk = _powers(np.multiply, -1.0 / zeta, _AIRY_ASYMPTOTIC_TERMS)
+    su, sv = _smallest_term_sums(np.abs(_AIRY_U * zk), _AIRY_U * zk, _AIRY_V * zk)
+    pref = _per_point(math.exp, -zeta) / (2.0 * math.sqrt(math.pi))
+    ai[pos] = pref * su / root
+    aip[pos] = -pref * sv * root
+
+    neg = ~pos
+    zeta, root = zeta_all[neg], root_all[neg]
     # even part sum_m (-1)^m u_{2m} zeta^{-2m}, odd part
-    # sum_m (-1)^m u_{2m+1} zeta^{-2m-1}; same split with v_j for Ai'
-    u_even = 1.0
-    u_odd = 0.0
-    v_even = 1.0
-    v_odd = 0.0
-    uj = 1.0
-    zj = 1.0
-    prev = math.inf
-    for j in range(1, 60):
-        uj = uj * ((6 * j - 5) * (6 * j - 3) * (6 * j - 1)) / (216.0 * j * (2 * j - 1))
-        zj /= zeta
-        mag = uj * zj
-        if mag >= prev:
-            break
-        vj = uj * (6 * j + 1) / (1.0 - 6 * j)
-        sgn = -1.0 if (j // 2) % 2 else 1.0
-        if j % 2 == 0:
-            u_even += sgn * mag
-            v_even += sgn * vj * zj
-        else:
-            u_odd += sgn * mag
-            v_odd += sgn * vj * zj
-        prev = mag
-    c, s = math.cos(omega), math.sin(omega)
+    # sum_m (-1)^m u_{2m+1} zeta^{-2m-1}; the same split with v_j for Ai'
+    j = np.arange(_AIRY_ASYMPTOTIC_TERMS)
+    zj = _powers(np.divide, zeta, j.size - 1)
+    mag = _AIRY_U[j] * zj
+    sgn = np.where((j // 2) % 2 == 1, -1.0, 1.0)
+    su, sv = sgn * mag, sgn * _AIRY_V[j] * zj
+    even = j % 2 == 0
+    u_even, v_even, u_odd, v_odd = _smallest_term_sums(
+        mag, np.where(even, su, 0.0), np.where(even, sv, 0.0),
+        np.where(even, 0.0, su), np.where(even, 0.0, sv))
+    omega = zeta - 0.25 * math.pi
+    c, s = _per_point(math.cos, omega), _per_point(math.sin, omega)
     q = 1.0 / math.sqrt(math.pi)
-    ai = q / t ** 0.25 * (c * u_even + s * u_odd)
-    aip = q * t ** 0.25 * (s * v_even - c * v_odd)
+    ai[neg] = q / root * (c * u_even + s * u_odd)
+    aip[neg] = q * root * (s * v_even - c * v_odd)
     return ai, aip
 
 
-# below this many points one array run of a series costs more than the
-# cached one-point runs (about 11 ms against 0.3-0.5 ms per point)
+# below this many distinct points one array run of a series costs more than
+# the cached one-point runs (about 11 ms against 0.3-0.5 ms per point)
 _MIN_BATCH = 32
 
 
-def _series_values(xs, series, one_point, batchable=None):
+def _series_values(xs, series, one_point):
     """The outputs of an elementwise series at the points xs, each shaped
     like xs and bit-identical to `one_point`, the cached one-point view.
 
-    The distinct points that `batchable` admits (default: all) share one
-    array run of `series` if there are at least _MIN_BATCH of them; every
-    other point goes through `one_point`.
+    The distinct points share one array run of `series` if there are at
+    least _MIN_BATCH of them, or none; otherwise each goes through
+    `one_point`.
     """
     x = np.asarray(xs, dtype=float)
     pts, inv = np.unique(x.ravel(), return_inverse=True)
-    batch = np.ones(pts.size, dtype=bool) if batchable is None else batchable(pts)
-    if np.count_nonzero(batch) < _MIN_BATCH:
-        batch[:] = False
-    batched = np.array(series(pts[batch]))
-    out = np.empty((len(batched), pts.size))
-    out[:, batch] = batched
-    for i in np.flatnonzero(~batch).tolist():
-        out[:, i] = one_point(float(pts[i]))
+    if 0 < pts.size < _MIN_BATCH:
+        out = [np.array(v) for v in zip(*map(one_point, pts.tolist()))]
+    else:
+        out = series(pts)
     return tuple(v[inv].reshape(x.shape) for v in out)
 
 
-def _airy_pairs(xs):
-    """(Ai, Ai') on an array of points of the working range [-20, 15].
+def _check_airy_range(x):
+    """DomainError unless every point of x (a float or an array) lies in
+    the working range [-20, 15]; NaN lies in none."""
+    x = np.ravel(x)
+    bad = ~((x >= -20.0) & (x <= 15.0))
+    if bad.any():
+        raise DomainError(f"airy working range is [-20, 15], got {x[bad][0]}")
 
-    The series points |x| <= _AIRY_SWITCH may share one array run; every
-    other point, including any outside the range (DomainError) or NaN, goes
-    through `_airy_pair`, whose asymptotic branches run in Python floats.
+
+def _airy_pairs(xs):
+    """(Ai, Ai') on an array of points of the working range [-20, 15]; a
+    point outside it, or NaN, raises DomainError.
+
+    Of the distinct points, those with |x| <= _AIRY_SWITCH go through
+    `_series_values` (one array run from _MIN_BATCH of them on) and the
+    others share one run of `_airy_asymptotic`.  Every value is
+    bit-identical to `_airy_pair` at its point.
     """
-    return _series_values(xs, _airy_series, _airy_pair, lambda p: np.abs(p) <= _AIRY_SWITCH)
+    x = np.asarray(xs, dtype=float)
+    _check_airy_range(x)
+    pts, inv = np.unique(x.ravel(), return_inverse=True)
+    far = np.abs(pts) > _AIRY_SWITCH
+    ai, aip = np.empty(pts.shape), np.empty(pts.shape)
+    if not far.all():
+        ai[~far], aip[~far] = _series_values(pts[~far], _airy_series, _airy_pair)
+    if far.any():
+        ai[far], aip[far] = _airy_asymptotic(pts[far])
+    return ai[inv].reshape(x.shape), aip[inv].reshape(x.shape)
 
 
 @lru_cache(maxsize=262144)
 def _airy_pair(x):
     """(Ai, Ai') at one point, cached; the same arithmetic as _airy_pairs."""
     x = float(x)
-    if not (-20.0 <= x <= 15.0):
-        raise DomainError(f"airy working range is [-20, 15], got {x}")
+    _check_airy_range(x)
     if abs(x) <= _AIRY_SWITCH:
         return _airy_series(x)
-    if x > 0:
-        return _airy_asymptotic_pos(x)
-    return _airy_asymptotic_neg(x)
+    ai, aip = _airy_asymptotic(np.array([x]))
+    return float(ai[0]), float(aip[0])
 
 
 def airy_ai(x):
@@ -503,18 +529,21 @@ def airy_ai_prime(x):
 # ---------------------------------------------------------------------------
 
 def _adaptive_quadrature_batch(f, a, b, tol=1e-12, max_depth=45):
-    """Integrate many integrands at once, integral i over [a[i], b[i]].
+    """Integrate many integrands at once, integral i over [a[i], b[i]] to
+    the tolerance tol[i] (tol broadcasts against a, so a scalar serves all).
 
     f(owner, x) takes an integer array owner (P,) and nodes x (P, 15) and
     returns the values of integrand owner[p] at x[p].  Bisection runs
     breadth first: each round evaluates every pending panel of every
-    integral in one call of f.  A panel is accepted when its coarse GL-15
-    value and the sum of its two halves agree; a non-finite panel, or a
-    panel at max_depth that still disagrees, raises ConvergenceError.  Each
-    total adds its accepted panels right to left (descending lower end),
-    the order in which a depth-first bisection that refines the right half
+    integral in one call of f, and the first round, on the whole
+    intervals, calls f even when every interval is empty.  A panel is
+    accepted when its coarse GL-15 value and the sum of its two halves
+    agree to its integral's tolerance; a non-finite panel, or a panel at
+    max_depth that still disagrees, raises ConvergenceError.  Each total
+    adds its accepted panels right to left (descending lower end), the
+    order in which a depth-first bisection that refines the right half
     first meets them, so every total is bit-identical to integrating that
-    interval alone.
+    interval alone at its tolerance.
     """
     rule = gauss_legendre(15, 0.0, 1.0)
 
@@ -530,6 +559,7 @@ def _adaptive_quadrature_batch(f, a, b, tol=1e-12, max_depth=45):
 
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
     owner = np.flatnonzero(a != b)
     lo, hi = a[owner], b[owner]
     coarse = panels(owner, lo, hi)
@@ -542,7 +572,7 @@ def _adaptive_quadrature_batch(f, a, b, tol=1e-12, max_depth=45):
         left, right = halves[:owner.size], halves[owner.size:]
         fine = left + right
         gap = np.abs(fine - coarse)
-        ok = gap < np.maximum(tol, 1e-16 * np.abs(fine))
+        ok = gap < np.maximum(tol[owner], 1e-16 * np.abs(fine))
         done_owner.append(owner[ok])
         done_lo.append(lo[ok])
         done_value.append(fine[ok])
@@ -579,6 +609,25 @@ def adaptive_quadrature(f, a, b, tol=1e-12, max_depth=45):
     return float(_adaptive_quadrature_batch(values, a, b, tol, max_depth)[0])
 
 
+def _airy_tail_pieces(x):
+    """(lo, hi, finish) for int_x^infinity Ai at the points of x >= -10:
+    each distinct point p has one interval [lo, hi] of Ai, [0, min(p, 15)]
+    for p > 0 and [p, 0] otherwise, and finish(pieces) maps their integrals
+    to 1/3 -+ piece at every point of x, shaped like x."""
+    xa = np.asarray(x, dtype=float)
+    pts, inv = np.unique(xa.ravel(), return_inverse=True)
+    bad = ~(pts >= -10.0)
+    if bad.any():
+        raise DomainError(f"airy_tail_integral requires x >= -10, got {pts[bad][0]}")
+    right = pts > 0.0
+    third = 1.0 / 3.0
+
+    def finish(piece):
+        return np.where(right, third - piece, third + piece)[inv].reshape(xa.shape)
+
+    return np.where(right, 0.0, pts), np.where(right, np.minimum(pts, 15.0), 0.0), finish
+
+
 def airy_tail_integral(x, tol=1e-12):
     """int_x^infinity Ai(u) du for x >= -10, on a scalar or an array.
 
@@ -586,17 +635,8 @@ def airy_tail_integral(x, tol=1e-12):
     1/3 + int_x^0 Ai for x < 0, with adaptive quadrature on the finite
     piece (one batch over the distinct points of an array).
     """
-    xa = np.asarray(x, dtype=float)
-    pts, inv = np.unique(xa.ravel(), return_inverse=True)
-    bad = ~(pts >= -10.0)
-    if bad.any():
-        raise DomainError(f"airy_tail_integral requires x >= -10, got {pts[bad][0]}")
-    right = pts > 0.0
-    piece = _adaptive_quadrature_batch(
-        lambda owner, u: _airy_pairs(u)[0],
-        np.where(right, 0.0, pts), np.where(right, np.minimum(pts, 15.0), 0.0), tol)
-    third = 1.0 / 3.0
-    out = np.where(right, third - piece, third + piece)[inv].reshape(xa.shape)
+    lo, hi, finish = _airy_tail_pieces(x)
+    out = finish(_adaptive_quadrature_batch(lambda owner, u: _airy_pairs(u)[0], lo, hi, tol))
     return float(out) if out.ndim == 0 else out
 
 

@@ -1,16 +1,19 @@
 """One-point reference implementations kept as bit-for-bit oracles.
 
 These are the scalar loops that the array routines of `dpptails.specfun`
-and `dpptails.kernels` replace: the Airy Maclaurin series, the Bessel
-reduced-kernel series, depth-first adaptive quadrature and the per-point
-sinc antiderivative.  The array
-routines must reproduce them to the last bit.
+and `dpptails.kernels` replace: the Airy Maclaurin series and asymptotic
+expansions, the Bessel reduced-kernel series, depth-first adaptive
+quadrature and the per-point sinc antiderivative.  The array routines must
+reproduce them to the last bit.  `airy_global_majorants` is the derivation
+of the two Airy majorant constants that `dpptails.kernels` stores as
+literals.
 """
 
 import math
 
 import numpy as np
 
+from dpptails import specfun
 from dpptails.specfun import (
     ConvergenceError,
     _C1,
@@ -72,6 +75,103 @@ def airy_series(x):
     aph, apl = _dd_add(*_dd_mul(_C1[0], _C1[1], fp_h, fp_l),
                        *_dd_mul(-_C2[0], -_C2[1], gp_h, gp_l))
     return aih + ail, aph + apl
+
+
+def airy_asymptotic_pos(x):
+    """(Ai, Ai') at one point x > 9, truncated at the smallest term."""
+    zeta = (2.0 / 3.0) * x ** 1.5
+    # sum (-1)^k u_k / zeta^k and companion with v_k, smallest-term truncation
+    su, sv = 1.0, 1.0
+    uk = 1.0
+    zk = 1.0
+    prev = math.inf
+    for k in range(0, 60):
+        uk_next = uk * ((6 * k + 1) * (6 * k + 3) * (6 * k + 5)) / (216.0 * (k + 1) * (2 * k + 1))
+        zk *= -1.0 / zeta
+        term_u = uk_next * zk
+        if abs(term_u) >= prev:
+            break
+        vk_next = uk_next * (6 * (k + 1) + 1) / (1.0 - 6 * (k + 1))
+        su += term_u
+        sv += vk_next * zk
+        uk = uk_next
+        prev = abs(term_u)
+    pref = math.exp(-zeta) / (2.0 * math.sqrt(math.pi))
+    ai = pref * su / x ** 0.25
+    aip = -pref * sv * x ** 0.25
+    return ai, aip
+
+
+def airy_asymptotic_neg(x):
+    """(Ai, Ai') at one point x < -9, truncated at the smallest term."""
+    t = -x
+    zeta = (2.0 / 3.0) * t ** 1.5
+    omega = zeta - 0.25 * math.pi
+    # even part sum_m (-1)^m u_{2m} zeta^{-2m}, odd part
+    # sum_m (-1)^m u_{2m+1} zeta^{-2m-1}; same split with v_j for Ai'
+    u_even = 1.0
+    u_odd = 0.0
+    v_even = 1.0
+    v_odd = 0.0
+    uj = 1.0
+    zj = 1.0
+    prev = math.inf
+    for j in range(1, 60):
+        uj = uj * ((6 * j - 5) * (6 * j - 3) * (6 * j - 1)) / (216.0 * j * (2 * j - 1))
+        zj /= zeta
+        mag = uj * zj
+        if mag >= prev:
+            break
+        vj = uj * (6 * j + 1) / (1.0 - 6 * j)
+        sgn = -1.0 if (j // 2) % 2 else 1.0
+        if j % 2 == 0:
+            u_even += sgn * mag
+            v_even += sgn * vj * zj
+        else:
+            u_odd += sgn * mag
+            v_odd += sgn * vj * zj
+        prev = mag
+    c, s = math.cos(omega), math.sin(omega)
+    q = 1.0 / math.sqrt(math.pi)
+    ai = q / t ** 0.25 * (c * u_even + s * u_odd)
+    aip = q * t ** 0.25 * (s * v_even - c * v_odd)
+    return ai, aip
+
+
+def airy_global_majorants():
+    """(C_A, C_Ap) with |Ai(w)| <= C_A e^{(2/3)|w|^{3/2}} and
+    |Ai'(w)| <= C_Ap (1+|w|)^{1/4} e^{(2/3)|w|^{3/2}} on all of C.
+
+    Both Maclaurin series of Ai have one fixed-sign coefficient family, so
+    |f(w)| <= f(|w|) termwise and the complex bound reduces to the positive
+    real axis, where the majorant H = c1 f + c2 g is evaluated directly.
+    """
+    c1, c2 = 0.3550280538878172, 0.2588194037928068
+    r = np.linspace(0.0, 30.0, 1201)
+    rs = r.tolist()
+
+    def step(k, st):
+        f, g, fp, gp, tf, tg, tb, td, x3, rk = st
+        tf = tf * x3 / ((3 * k + 2) * (3 * k + 3))
+        tg = tg * x3 / ((3 * k + 3) * (3 * k + 4))
+        tb = (rk * rk / 2.0) if k == 0 else tb * x3 * (k + 1) / (k * (3 * k + 2) * (3 * k + 3))
+        td = td * x3 / ((3 * k + 1) * (3 * k + 3))
+        return [f + tf, g + tg, fp + tb, gp + td, tf, tg, tb, td, x3, rk]
+
+    def converged(k, st):
+        f, g, _, _, tf, tg = st[:6]
+        return (tf < 1e-18 * f) & (tg < 1e-18 * np.maximum(g, 1.0))
+
+    # positive-coefficient series for f, g, f', g' at +r (no cancellation),
+    # one run over all r
+    one, zero = np.ones(r.size), np.zeros(r.size)
+    state = [one, r, zero, one, one, r, zero, one, np.array([v ** 3 for v in rs]), r]
+    f, g, fp, gp = specfun._iterate(step, converged, state, 4, 200, "airy majorant series")
+    damp = np.array([math.exp(-(2.0 / 3.0) * v ** 1.5) for v in rs])
+    root4 = np.array([(1.0 + v) ** 0.25 for v in rs])
+    best_a = float(np.max((c1 * f + c2 * g) * damp))
+    best_ap = float(np.max((c1 * fp + c2 * gp) * damp / root4))
+    return 1.02 * best_a, 1.02 * best_ap
 
 
 def bessel_series_triple(s, x):

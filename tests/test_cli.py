@@ -205,11 +205,16 @@ def test_block_kernel_bound_works(tmp_path):
     assert payload["report"]["sigma"] == 1.0
 
 
-def test_block_kernel_exact_rejected(tmp_path):
-    assert run(["exact", "--kernel", "sine4", "--window", "0,1",
-                "--out", str(tmp_path / "x")]) == 2
-    assert run(["sample", "--kernel", "airy4", "--window", "0,1",
-                "--out", str(tmp_path / "x")]) == 2
+def test_block_kernel_exact_rejected(tmp_path, capsys):
+    qp = _q_spec_file(tmp_path, {"family": "box", "support": [0, 1, 0, 1]})
+    for command, kernel, extra in (("exact", "sine4", []), ("compare", "airy4", []),
+                                   ("sample", "airy4", ["--q-spec", qp])):
+        assert run([command, "--kernel", kernel, "--window", "0,1", *extra,
+                    "--out", str(tmp_path / "x")]) == 2
+        # the refusal says what is missing, not that the count has no Bernoulli form
+        err = capsys.readouterr().err
+        assert f"{command} is not implemented for the block kernels" in err, err
+        assert "'bound'" in err and "Bernoulli" not in err
 
 
 def test_ginibre_rejected_by_interval_commands(tmp_path):

@@ -332,6 +332,7 @@ def test_bessel_series_triples_bit_identical_to_scalar_oracle(s):
         assert kernels._bessel_series_triple(s, v) == ref.bessel_series_triple(s, v)
     small = kernels._bessel_series_triples(s, xs[:5])
     assert _bits(np.array(small)) == _bits(want[:, :5])
+    assert [v.shape for v in kernels._bessel_series_triples(s, xs[:0])] == [(0,)] * 3
 
 
 @pytest.mark.parametrize("spec, lo, hi", [(AIRY, -6.0, 2.0), (BESSEL_HALF, 0.3, 8.0),
@@ -366,6 +367,68 @@ def test_eval_matrix_broadcast_bit_identical_to_pairs(spec, lo, hi):
 ])
 def test_airy4_envelope_amplitude_pinned(window, amplitude):
     assert kernels._airy4_envelope_amplitude(*window).hex() == amplitude
+
+
+def test_airy4_blocks_match_pairs_and_separate_tail_integrals():
+    # pairs past the series switch (x > 9), past the kernel-tail cut (14.5),
+    # on the diagonal and inside the band; a11 against its two tail
+    # integrals, each integrated alone as before the shared batch
+    x = np.array([9.5, 12.0, 14.7, 15.0, -10.0, -3.2, 0.4, 0.4, 2.0, 11.0])
+    y = np.array([-2.0, 12.0, 0.5, -10.0, 9.25, -3.2 + 3e-5, 0.4, 0.4 - 1e-9, 13.0, 11.0 + 2e-4])
+    blocks = kernels.eval_matrix(AIRY4, x, y)
+    want = [kernels.eval_matrix(AIRY4, float(a), float(b)) for a, b in zip(x, y)]
+    assert _bits(blocks) == _bits(want)
+    cut = kernels._AIRY_TAIL_CUT
+    for (a, b), block in zip(zip(x.tolist(), y.tolist()), blocks):
+        ktail = specfun._adaptive_quadrature_batch(
+            lambda owner, u, b=b: kernels._airy_kernel(u, b), min(a, cut), cut, 1e-11)[0]
+        a11 = -0.5 * ktail + 0.25 * specfun.airy_tail_integral(a) * specfun.airy_tail_integral(b)
+        assert block[0, 0] == a11, (a, b)
+
+
+def test_airy4_envelope_runs_three_airy_series_passes(monkeypatch):
+    # one Airy pass per quadrature round of the shared tail batch, whose
+    # first round also covers the entries' own points; no point takes the
+    # one-point view (6 passes and 267 one-point calls before the batch)
+    counts = {"array_series": 0, "one_point": 0}
+    iterate, pair = specfun._iterate, specfun._airy_pair
+
+    def counting_iterate(step, converged, state, *args):
+        counts["array_series"] += isinstance(state[0], np.ndarray)
+        return iterate(step, converged, state, *args)
+
+    def counting_pair(x):
+        counts["one_point"] += 1
+        return pair(x)
+
+    monkeypatch.setattr(specfun, "_iterate", counting_iterate)
+    monkeypatch.setattr(specfun, "_airy_pair", counting_pair)
+    amplitude = kernels._airy4_envelope_amplitude.__wrapped__(-1.0, 0.0)
+    assert amplitude.hex() == "0x1.be347867e741ap-4"
+    assert counts == {"array_series": 3, "one_point": 0}
+
+
+def test_airy_majorants_rederived_bit_for_bit():
+    assert kernels._AIRY_MAJORANTS == ref.airy_global_majorants()
+    assert [v.hex() for v in kernels._AIRY_MAJORANTS] == [
+        v.hex() for v in (0.39888262466694224, 0.32924355403876177)]
+
+
+@pytest.mark.parametrize("window", [(-1.0, 0.0), (-2.0, 0.0), (0.0, 1.0), (-10.0, -5.0),
+                                    (-3.0, 3.0), (5.0, 10.0), (-0.5, 12.0), (-10.0, 15.0)])
+def test_airy_envelope_broadcast_bit_identical_to_profile_loop(window):
+    # the former loop over the 33 window points, one r-profile at a time
+    ca, cap = kernels._AIRY_MAJORANTS
+    ps = np.linspace(*window, 33)
+    ai_all, aip_all = specfun._airy_pairs(ps)
+    amp = 0.0
+    for p, ai, aip in zip(ps, ai_all.tolist(), aip_all.tolist()):
+        q = abs(p)
+        rr = np.linspace(0.0, 4.0 * q + 80.0, 1600)
+        grow = (2.0 / 3.0) * (q + rr) ** 1.5 - rr ** 1.5
+        prof = (abs(aip) * cap * (1.0 + q + rr) ** 0.25 + abs(ai) * ca * (q + rr)) * np.exp(grow)
+        amp = max(amp, float(prof.max()))
+    assert kernels._airy_envelope_amplitude.__wrapped__(*window) == 1.02 * amp
 
 
 _NAN = math.nan

@@ -268,9 +268,24 @@ def test_airy_series_array_bit_identical_to_scalar_oracle():
     assert all(sf._airy_series(float(v)) == w for v, w in zip(_SERIES_GRID[::37], want[::37]))
 
 
+# dense grids on both asymptotic branches, their first points past +-9 and
+# the ends of the working range
+_ASYMPTOTIC_GRID = np.concatenate([
+    np.linspace(9.0, 15.0, 3001)[1:], np.linspace(-20.0, -9.0, 3001)[:-1],
+    [np.nextafter(9.0, 10.0), np.nextafter(-9.0, -10.0), -20.0, 15.0],
+])
+
+
+def test_airy_asymptotic_array_bit_identical_to_scalar_oracle():
+    ai, aip = sf._airy_asymptotic(_ASYMPTOTIC_GRID)
+    want = [ref.airy_asymptotic_pos(v) if v > 0 else ref.airy_asymptotic_neg(v)
+            for v in _ASYMPTOTIC_GRID.tolist()]
+    assert _bits(ai) == _bits([w[0] for w in want])
+    assert _bits(aip) == _bits([w[1] for w in want])
+
+
 def test_airy_pairs_bit_identical_to_one_point_view():
-    xs = np.concatenate([_SERIES_GRID[::7], np.linspace(-20.0, 15.0, 701),
-                         [np.nextafter(9.0, 10.0), np.nextafter(-9.0, -10.0), -20.0, 15.0]])
+    xs = np.concatenate([_SERIES_GRID[::7], np.linspace(-20.0, 15.0, 701), _ASYMPTOTIC_GRID])
     ai, aip = sf._airy_pairs(xs)
     want = [sf._airy_pair(float(v)) for v in xs]
     assert _bits(ai) == _bits([w[0] for w in want])
@@ -343,6 +358,33 @@ def test_adaptive_quadrature_batch_totals_bit_identical():
         want = ref.adaptive_quadrature(
             lambda u, w=freqs[i]: np.sin(w * u) / (1.0 + u * u), a[i], b[i])
         assert totals[i] == want, i
+
+
+def test_adaptive_quadrature_batch_tolerance_per_integral():
+    # interval 3 converges to different bits at 1e-11 and at 1e-12, so it
+    # runs twice in one batch, once at each tolerance
+    freqs = np.array([1.0, 7.0, 20.0, 3.0, 0.5, 11.0, 35.0, 60.0, 3.0])
+    a = np.array([-1.0, 0.0, -2.0, 1.0, 4.0, -0.3, -5.0, 0.0, 1.0])
+    b = np.array([2.0, 0.0, 1.5, 6.0, -4.0, 0.2, 7.0, 9.0, 6.0])
+    tol = np.array([1e-12, 1e-11] * 4 + [1e-12])
+
+    def batch(owner, x):
+        w = freqs[owner][:, None]
+        return np.sin(w * x) / (1.0 + x * x)
+
+    def alone(i, tol):
+        return sf._adaptive_quadrature_batch(lambda owner, x: batch(owner + i, x),
+                                             a[i:i + 1], b[i:i + 1], tol)[0]
+
+    totals = sf._adaptive_quadrature_batch(batch, a, b, tol)
+    assert totals[3] != totals[8]
+    for i in range(a.size):
+        want = ref.adaptive_quadrature(
+            lambda u, w=freqs[i]: np.sin(w * u) / (1.0 + u * u), a[i], b[i], tol[i])
+        assert totals[i] == alone(i, tol[i]) == want, i
+    # a scalar tol serves every integral
+    assert _bits(sf._adaptive_quadrature_batch(batch, a, b, 1e-11)) == _bits(
+        [alone(i, 1e-11) for i in range(a.size)])
 
 
 def test_adaptive_quadrature_batch_raises_when_one_integral_jumps():
