@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .kernels import GrowthEnvelope, factorization, growth_envelope
+from .kernels import growth_envelope, sup_density
+from .specfun import _LOG_MAX
 
 __all__ = [
     "DividedDifferenceTable",
@@ -144,20 +145,13 @@ class DerivativeMaxBound:
     log_value: float
 
 
-def _resolve_envelope(spec, window):
-    if isinstance(spec, GrowthEnvelope):
-        return spec
-    return growth_envelope(spec, window)
-
-
 def derivative_max_bounds(spec, window, n):
     """m_l bounds, l = 0..n-1, from the kernel's growth envelope.
 
     The expansion is centered anywhere in the window; Assumption-style
     envelopes are uniform over centers, so one Cauchy bound serves all l.
-    Accepts a KernelSpec or a bare GrowthEnvelope.
     """
-    env = _resolve_envelope(spec, window)
+    env = growth_envelope(spec, window)
     out = []
     for l in range(int(n)):
         lv = log_cauchy_coefficient_bound(env, l)
@@ -207,24 +201,15 @@ def pfaffian_integral_bound(n, window, ml):
         + 0.5 * math.lgamma(2 * n + 1.0) + _log_ml_sum(ml, n)
 
 
-def _sup_density(spec, window):
-    if isinstance(spec, GrowthEnvelope):
-        return 1.0
-    if getattr(spec, "block_size", 1) == 2 or getattr(spec, "kind", "") == "ginibre":
-        return 1.0
-    return factorization(spec, window).sup_density
-
-
 def pointwise_det_log_bound(spec, window, n):
     """log bound for |det Pi(x_i, x_j)| at any points in the window
     (scalar kernels), or log |Pf K(x_i, x_j)| for 2x2-block kernels."""
     n = int(n)
     ml = derivative_max_bounds(spec, window, n)
     base = (n * (n - 1) / 2.0) * math.log(window.length) + _log_ml_sum(ml, n)
-    if getattr(spec, "block_size", 1) == 2:
+    if spec.block_size == 2:
         return base + 0.5 * math.lgamma(2 * n + 1.0)
-    sup_rho = _sup_density(spec, window)
-    return base + math.lgamma(n + 1.0) + 2.0 * n * math.log(sup_rho)
+    return base + math.lgamma(n + 1.0) + 2.0 * n * math.log(sup_density(spec, window))
 
 
 def tail_log_bound_function(spec, window):
@@ -239,10 +224,10 @@ def tail_log_bound_function(spec, window):
     Cauchy bounds in total, however far N runs (moment-bracket tails reach
     the tens of thousands).  Values are 0.0 for n <= 0.
     """
-    env = _resolve_envelope(spec, window)
+    env = growth_envelope(spec, window)
     log_len = math.log(window.length)
-    block = getattr(spec, "block_size", 1) == 2
-    log_rho = 0.0 if block else math.log(_sup_density(spec, window))
+    block = spec.block_size == 2
+    log_rho = math.log(sup_density(spec, window))
     tails = [0.0]
     cum = 0.0
 
@@ -302,7 +287,7 @@ def b_constant(spec, window, n_max=64):
     range is already past the turning point so the maximum is global.
     """
     tail = tail_log_bound_function(spec, window)
-    return _b_from_tails(_resolve_envelope(spec, window).order,
+    return _b_from_tails(growth_envelope(spec, window).order,
                          [tail(n) for n in range(1, int(n_max) + 1)])
 
 
@@ -329,13 +314,19 @@ def laplace_integral_bound(b_tilde, delta, lam):
     maximum at t0 = exp((lam + B_tilde - delta)/delta) where S(t0) = delta t0;
     the integral is at most (5 t0/4 + 1/(delta log(5/4))) e^{S(t0)}.
     Also returns lambda-independent (c1, c2) with
-    log_value <= c1 exp(lam/delta) + c2 for every lam >= 0.
+    log_value <= c1 exp(lam/delta) + c2 for every lam >= 0.  Raises
+    CertificateError when t0 or one of its factors is no finite double.
     """
     if delta <= 0:
         raise ValueError("need delta > 0")
     if lam < 0:
         raise ValueError("need lam >= 0")
-    kappa = math.exp((b_tilde - delta) / delta)
+    log_kappa = (b_tilde - delta) / delta
+    # NaN fails both tests as well
+    if not (lam / delta < _LOG_MAX and log_kappa + lam / delta < _LOG_MAX):
+        raise CertificateError(
+            f"t0 = exp({log_kappa + lam / delta:.6g}) is not a finite double at lambda={lam}")
+    kappa = math.exp(log_kappa)
     t0 = kappa * math.exp(lam / delta)
     c_l = 1.0 / (delta * math.log(1.25))
     log_value = delta * t0 + math.log(1.25 * t0 + c_l)
@@ -370,7 +361,7 @@ def exp_moment_log_bound(spec, window, lam, n_max=64):
     if float(lam) <= 0:
         return 0.0
     b_tilde, delta = rewrite_b_tilde(b_constant(spec, window, n_max),
-                                     _resolve_envelope(spec, window).order)
+                                     growth_envelope(spec, window).order)
     return _exp_moment_log_bound(b_tilde, delta, lam)
 
 
@@ -386,6 +377,10 @@ def _c_from_b(b, sigma, lambda_max, exponent_scales):
     b_tilde, delta = rewrite_b_tilde(b, sigma)
     lams = [lambda_max * (k + 1) / GRID_POINTS for k in range(GRID_POINTS)]
     bound_logs = [_exp_moment_log_bound(b_tilde, delta, lam) for lam in lams]
+    # the walk below moves one double at a time: a non-finite bound would
+    # send it across the whole double range
+    if not all(math.isfinite(bl) for bl in bound_logs):
+        raise CertificateError(f"an exp-moment bound on the grid up to {lambda_max} is not finite")
 
     def dominates(c, growth):
         return all(bl <= c * g for bl, g in zip(bound_logs, growth))
@@ -419,7 +414,7 @@ def c_constant(spec, window, lambda_max, exponent_scale=4.0, n_max=64):
     the grid range; the ratio diverges like e^{L(0)}/lam as lam -> 0+, so no
     finite c covers arbitrarily small lam.
     """
-    sigma = _resolve_envelope(spec, window).order
+    sigma = growth_envelope(spec, window).order
     return _c_from_b(b_constant(spec, window, n_max), sigma, lambda_max, [exponent_scale])[0]
 
 
@@ -482,8 +477,12 @@ class BoundReport:
         return self.b_tail * n * n - (n * n / (2.0 * self.sigma)) * math.log(n)
 
     def moment_log_bound(self, lam):
-        """Moment bound c (e^{4 sigma lam} - 1) on log E exp(lam * count^2)."""
-        return self.c_moment * math.expm1(min(700.0, 4.0 * self.sigma * lam))
+        """Moment bound c (e^{4 sigma lam} - 1) on log E exp(lam * count^2);
+        CertificateError where it overflows a double."""
+        value = self.c_moment * math.expm1(min(700.0, 4.0 * self.sigma * lam))
+        if value == math.inf:
+            raise CertificateError(f"the moment bound overflows a double at lambda={lam}")
+        return value
 
     def to_json_dict(self):
         return {
@@ -519,7 +518,7 @@ def build_bound_report(spec, window, n_max=64, lambda_max=3.0):
     psi_prime0 = (1.0 / delta) / math.expm1(1.0 / delta)
     d = combination_d(psi1, psi_prime0)
     return BoundReport(
-        kernel=getattr(spec, "identifier", "custom"),
+        kernel=spec.identifier,
         window=(float(window.a), float(window.b)),
         sigma=sigma,
         b_tail=b,

@@ -132,9 +132,7 @@ def _kernel_spec(args):
             f"{args.command} is not implemented for the block kernels (sine4, airy4) "
             "yet; their bounds are available via 'bound'")
     window = args.window
-    if spec.kind == "bessel" and spec.bessel_s != 0.0 and window.a <= 0.0:
-        raise DomainError(
-            "bessel windows must stay inside the open half-line (0, inf) for s != 0")
+    kernels.check_window(spec, window)
     if spec.kind in ("airy", "airy4") and (window.a < -10.0 or window.b > 15.0):
         raise DomainError("airy windows must lie inside [-10, 15]")
     return spec
@@ -273,7 +271,7 @@ def build_parser():
         sp = commands[name] = sub.add_parser(name)
         sp.set_defaults(run=command)
         sp.add_argument("--kernel", required=True,
-                        help="kernel id: sine | bessel:s=<real> | airy | ginibre | sine4 | airy4")
+                        help="kernel id: " + " | ".join(kernels.KERNEL_IDS))
         sp.add_argument("--window", required=True, type=_window, help="a,b")
         sp.add_argument("--order", type=_at_least(8), default=200)
         sp.add_argument("--lambda", dest="lam", type=_lambda_grid, default="0.1:2:20",

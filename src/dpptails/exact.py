@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels as _kernels
 from . import specfun
-from .specfun import QuadratureRule, gauss_legendre, incomplete_gamma_ratio
+from .specfun import _LOG_MAX, QuadratureRule, gauss_legendre, incomplete_gamma_ratio
 
 __all__ = [
     "DiscretizedKernel",
@@ -122,16 +122,16 @@ class CountDistribution:
 # ---------------------------------------------------------------------------
 
 def _kernel_gram(spec, xs):
-    if hasattr(spec, "kind"):
-        return _kernels.kernel_matrix(spec, xs)
-    # plain callable kernel (x, y) -> value, used by tests and custom kernels:
-    # one call on the broadcast node pairs (a constant broadcasts too), with
-    # the upper triangle mirrored so the Gram is exactly symmetric
+    """(Gram matrix at the nodes xs, kernel id) of a KernelSpec or of a plain
+    callable (x, y) -> value, id "custom": one call on the broadcast pairs (a
+    constant broadcasts too), the upper triangle mirrored for exact symmetry."""
+    if isinstance(spec, _kernels.KernelSpec):
+        return _kernels.kernel_matrix(spec, xs), spec.identifier
     n = len(xs)
     gram = np.array(np.broadcast_to(spec(xs[:, None], xs[None, :]), (n, n)), dtype=float)
     lower = np.tril_indices(n, -1)
     gram[lower] = gram.T[lower]
-    return gram
+    return gram, "custom"
 
 
 def discretize(spec, window, order):
@@ -140,11 +140,10 @@ def discretize(spec, window, order):
     if order < 8:
         raise ValueError("need order >= 8")
     rule = gauss_legendre(order, window.a, window.b)
-    gram = _kernel_gram(spec, rule.nodes)
+    gram, ident = _kernel_gram(spec, rule.nodes)
     sw = np.sqrt(rule.weights)
     mat = sw[:, None] * gram * sw[None, :]
     mat = 0.5 * (mat + mat.T)
-    ident = spec.identifier if hasattr(spec, "identifier") else "custom"
     return DiscretizedKernel(rule, mat, ident, (float(window.a), float(window.b)))
 
 
@@ -441,13 +440,16 @@ def exp_moment_sq(c, lam):
 
     Guard (as contracted): exp(lam N^2) * truncation_error_bound must stay
     below 1e-10 of the running sum, otherwise the truncated mass could move
-    the answer and a TruncationError is raised; use exp_moment_sq_bracket
-    for a certified two-sided answer at large lam.
+    the answer and a TruncationError is raised; so is one where exp(lam N^2)
+    would overflow.  Use exp_moment_sq_bracket for a certified two-sided
+    answer at large lam.
     """
     lam = float(lam)
     if lam < 0:
         raise ValueError("need lam >= 0")
     big_n = c.pmf.size - 1
+    if not lam * big_n ** 2.0 <= _LOG_MAX:
+        raise TruncationError(f"exp(lam N^2) overflows a double at lam={lam}, N={big_n}")
     total = float(np.sum(np.exp(lam * np.arange(c.pmf.size) ** 2.0) * c.pmf))
     trunc = c.truncation_error_bound
     if trunc > 0.0:
@@ -566,15 +568,14 @@ def correlation_function(spec, points):
         return 1.0
     if n > 16:
         raise ValueError("correlation_function supports n <= 16")
-    if getattr(spec, "block_size", 1) == 2:
-        p = np.array(pts)
+    p = np.array(pts)
+    if isinstance(spec, _kernels.KernelSpec) and spec.block_size == 2:
         # (n, n, 2, 2) blocks -> particle-major 2n x 2n
         blocks = _kernels.eval_matrix(spec, p[:, None], p[None, :])
         big = blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
         big = 0.5 * (big - big.T)
         return pfaffian(big)
-    gram = _kernel_gram(spec, np.array(pts))
-    return float(np.linalg.det(gram))
+    return float(np.linalg.det(_kernel_gram(spec, p)[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -42,6 +42,8 @@ __all__ = [
     "kernel_matrix",
     "growth_envelope",
     "factorization",
+    "check_window",
+    "sup_density",
     "intensity",
 ]
 
@@ -73,11 +75,9 @@ class GrowthEnvelope:
     order: float
 
     def __post_init__(self):
-        if min(self.amplitude, self.scale, self.order) <= 0:
+        # NaN fails every comparison, so it is not positive
+        if not (self.amplitude > 0 and self.scale > 0 and self.order > 0):
             raise ValueError("envelope constants must be positive")
-
-    def log_bound(self, r):
-        return math.log(self.amplitude) + self.scale * abs(r) ** self.order
 
 
 @dataclass(frozen=True)
@@ -111,8 +111,8 @@ def make_kernel(identifier):
             s = float(ident[len("bessel:s="):])
         except ValueError:
             raise DomainError(f"cannot parse Bessel parameter in {identifier!r}")
-        if s <= -1.0:
-            raise DomainError(f"Bessel kernel requires s > -1, got {s}")
+        if not -1.0 < s < math.inf:
+            raise DomainError(f"Bessel kernel requires finite s > -1, got {s}")
         return KernelSpec("bessel", f"bessel:s={s}", 1, bessel_s=s)
     raise DomainError(f"unknown kernel id {identifier!r}; known ids: {KERNEL_IDS}")
 
@@ -263,6 +263,9 @@ def _airy_kernel_dy(x, y, ai, aip):
 
 
 _AIRY_TAIL_CUT = 14.5  # |Ai| < 1e-17 beyond; truncation negligible
+# the airy4 entries need Ai and its tail integral at every point
+_AIRY4_RANGE = (specfun.WORKING_RANGES["airy_tail_integral"].working_range[0],
+                specfun.WORKING_RANGES["airy_ai"].working_range[1])
 
 
 def _airy4_parts(x, y):
@@ -376,11 +379,8 @@ def eval_matrix(spec, x, y):
         entries = 0.5 * np.stack([-sinc_antiderivative(t), s, -s, sinc_derivative(t)], axis=-1)
     else:
         # airy4: Tracy-Widom entries built from the scalar Airy kernel
+        specfun._check_range(np.concatenate([x, y]), "airy4 kernel", *_AIRY4_RANGE)
         n = x.size
-        both = np.concatenate([x, y])
-        bad = ~((both >= -10.0) & (both <= 15.0))
-        if bad.any():
-            raise DomainError(f"airy4 kernel working range is [-10, 15], got {both[bad][0]}")
         tail, ktail, kern, ai, aip = _airy4_parts(x, y)
         px, py, aix, aiy = tail[:n], tail[n:], ai[:n], ai[n:]
         a11 = -0.5 * ktail + 0.25 * px * py
@@ -396,8 +396,7 @@ def eval_complex(spec, z, w):
     if spec.kind != "ginibre":
         raise DomainError(f"eval_complex needs the ginibre kernel, got {spec.identifier}")
     z, w = complex(z), complex(w)
-    if abs(z) > 12.0 or abs(w) > 12.0:
-        raise DomainError("ginibre kernel working radius is 12")
+    specfun._check_range([abs(z), abs(w)], "ginibre kernel radius", 0.0, 12.0)
     return (1.0 / math.pi) * np.exp(z * np.conj(w) - 0.5 * abs(z) ** 2 - 0.5 * abs(w) ** 2)
 
 
@@ -505,9 +504,8 @@ def growth_envelope(spec, window=None):
         return GrowthEnvelope(1.0 / math.pi, 1.0, 2.0)
     if window is None:
         raise ValueError(f"{spec.identifier} envelope is window-dependent; pass a window")
+    check_window(spec, window)
     if spec.kind == "bessel":
-        if window.a <= 0.0 and spec.bessel_s != 0.0:
-            raise DomainError("bessel envelope needs a window inside (0, inf)")
         return GrowthEnvelope(_bessel_envelope_amplitude(spec.bessel_s, window.b), 1.0, 1.0)
     if spec.kind == "airy":
         return GrowthEnvelope(_airy_envelope_amplitude(window.a, window.b), 1.0, 1.5)
@@ -516,21 +514,37 @@ def growth_envelope(spec, window=None):
     raise DomainError(f"no growth envelope for {spec.identifier}")
 
 
+def check_window(spec, window):
+    """DomainError unless the window suits the kernel's density factor: a
+    Bessel window with s != 0 lies inside the open half-line (0, inf), where
+    rho(x) = (x/4)^{s/2} is positive and finite."""
+    if spec.kind == "bessel" and window.a <= 0.0 and spec.bessel_s != 0.0:
+        raise DomainError(f"bessel windows with s != 0 must lie in (0, inf), got a = {window.a}")
+
+
+def sup_density(spec, window):
+    """sup of the density factor rho on the window, whose ends must lie in
+    the kernel's domain: 1 except for Bessel, whose monotone rho peaks at an
+    end (block and Ginibre kernels carry no density factor)."""
+    if spec.block_size != 1 or spec.kind == "ginibre":
+        return 1.0
+    if spec.kind != "bessel":
+        _check_scalar_domain(spec, window.a, window.b)
+        return 1.0
+    check_window(spec, window)
+    # past the half-line rule only s = 0 admits a <= 0, where rho is 1
+    _check_scalar_domain(spec, max(window.a, 1e-300), window.b)
+    s = spec.bessel_s
+    return float(max(_bessel_rho(s, window.a), _bessel_rho(s, window.b)))
+
+
 def factorization(spec, window):
     """Factorization Pi = rho rho PiTilde on the window (rho == 1 except Bessel)."""
     if spec.block_size != 1 or spec.kind == "ginibre":
         raise DomainError(f"factorization is defined for scalar real kernels, got {spec.identifier}")
-    if spec.kind in ("sine", "airy"):
-        _check_scalar_domain(spec, window.a, window.b)
-        return Factorization(lambda x: 1.0,
-                             lambda x, y: eval_scalar(spec, x, y),
-                             1.0)
+    sup_rho = sup_density(spec, window)
+    if spec.kind != "bessel":
+        return Factorization(lambda x: 1.0, lambda x, y: eval_scalar(spec, x, y), sup_rho)
     s = spec.bessel_s
-    if window.a <= 0.0 and s != 0.0:
-        raise DomainError(
-            f"bessel factorization needs window.a > 0 (rho is 0 or unbounded at 0), got {window.a}")
-    _check_scalar_domain(spec, max(window.a, 1e-300), window.b)
-    sup_rho = max(_bessel_rho(s, window.a), _bessel_rho(s, window.b))
-    return Factorization(lambda x, _s=s: _bessel_rho(_s, x),
-                         lambda x, y, _s=s: float(_bessel_reduced(_s, x, y)),
-                         float(sup_rho))
+    return Factorization(lambda x: _bessel_rho(s, x),
+                         lambda x, y: float(_bessel_reduced(s, x, y)), sup_rho)

@@ -11,6 +11,7 @@ intervals, with results bit-identical to one-point runs.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -47,6 +48,7 @@ class ConvergenceError(RuntimeError):
 # ---------------------------------------------------------------------------
 
 _SPLITTER = 134217729.0  # 2**27 + 1
+_LOG_MAX = math.log(sys.float_info.max)  # exp(x) is finite exactly up to here
 
 
 def _two_sum(a, b):
@@ -129,6 +131,18 @@ WORKING_RANGES = {
 }
 
 
+def _check_range(x, name, low=None, high=None):
+    """DomainError unless every point of x (a float or an array) lies in
+    [low, high], by default the working range WORKING_RANGES[name]; NaN lies
+    in none."""
+    if low is None:
+        low, high = WORKING_RANGES[name].working_range
+    x = np.ravel(x)
+    bad = ~((x >= low) & (x <= high))
+    if bad.any():
+        raise DomainError(f"{name} working range is [{low}, {high}], got {x[bad][0]}")
+
+
 # ---------------------------------------------------------------------------
 # sinc family:  S(t) = sin(pi t) / (pi t),  DS = S',  IS(t) = int_0^t S
 # ---------------------------------------------------------------------------
@@ -186,10 +200,8 @@ def sinc_antiderivative(t):
     integrated to machine precision.  Odd in t.
     """
     ts = np.asarray(t, dtype=float)
+    _check_range(ts, "sinc_antiderivative")
     mag = np.abs(ts)
-    bad = ~(mag <= 50.0)
-    if bad.any():
-        raise DomainError(f"sinc_antiderivative working range is [-50, 50], got {ts[bad][0]}")
     x, w = _gauss_legendre_reference(24)
     nodes, weights = 0.5 + 0.5 * x, 0.5 * w
     out = np.zeros(ts.shape)
@@ -226,8 +238,7 @@ def bessel_j(nu, x):
     x = float(x)
     if not (nu > -1.0):
         raise DomainError(f"bessel_j requires nu > -1, got {nu}")
-    if not (0.0 <= x <= 40.0):
-        raise DomainError(f"bessel_j working range is 0 <= x <= 40, got {x}")
+    _check_range(x, "bessel_j")
     if x == 0.0:
         return 1.0 if nu == 0.0 else 0.0
 
@@ -473,15 +484,6 @@ def _series_values(xs, series, one_point):
     return tuple(v[inv].reshape(x.shape) for v in out)
 
 
-def _check_airy_range(x):
-    """DomainError unless every point of x (a float or an array) lies in
-    the working range [-20, 15]; NaN lies in none."""
-    x = np.ravel(x)
-    bad = ~((x >= -20.0) & (x <= 15.0))
-    if bad.any():
-        raise DomainError(f"airy working range is [-20, 15], got {x[bad][0]}")
-
-
 def _airy_pairs(xs):
     """(Ai, Ai') on an array of points of the working range [-20, 15]; a
     point outside it, or NaN, raises DomainError.
@@ -492,7 +494,7 @@ def _airy_pairs(xs):
     bit-identical to `_airy_pair` at its point.
     """
     x = np.asarray(xs, dtype=float)
-    _check_airy_range(x)
+    _check_range(x, "airy_ai")
     pts, inv = np.unique(x.ravel(), return_inverse=True)
     far = np.abs(pts) > _AIRY_SWITCH
     ai, aip = np.empty(pts.shape), np.empty(pts.shape)
@@ -507,7 +509,7 @@ def _airy_pairs(xs):
 def _airy_pair(x):
     """(Ai, Ai') at one point, cached; the same arithmetic as _airy_pairs."""
     x = float(x)
-    _check_airy_range(x)
+    _check_range(x, "airy_ai")
     if abs(x) <= _AIRY_SWITCH:
         return _airy_series(x)
     ai, aip = _airy_asymptotic(np.array([x]))
@@ -612,20 +614,20 @@ def adaptive_quadrature(f, a, b, tol=1e-12, max_depth=45):
 def _airy_tail_pieces(x):
     """(lo, hi, finish) for int_x^infinity Ai at the points of x >= -10:
     each distinct point p has one interval [lo, hi] of Ai, [0, min(p, 15)]
-    for p > 0 and [p, 0] otherwise, and finish(pieces) maps their integrals
-    to 1/3 -+ piece at every point of x, shaped like x."""
+    for p > 0 (Ai's range ends at 15; its integral beyond is below 1e-18)
+    and [p, 0] otherwise, and finish(pieces) maps their integrals to
+    1/3 -+ piece at every point of x, shaped like x."""
     xa = np.asarray(x, dtype=float)
     pts, inv = np.unique(xa.ravel(), return_inverse=True)
-    bad = ~(pts >= -10.0)
-    if bad.any():
-        raise DomainError(f"airy_tail_integral requires x >= -10, got {pts[bad][0]}")
+    _check_range(pts, "airy_tail_integral")
     right = pts > 0.0
     third = 1.0 / 3.0
 
     def finish(piece):
         return np.where(right, third - piece, third + piece)[inv].reshape(xa.shape)
 
-    return np.where(right, 0.0, pts), np.where(right, np.minimum(pts, 15.0), 0.0), finish
+    end = WORKING_RANGES["airy_ai"].working_range[1]
+    return np.where(right, 0.0, pts), np.where(right, np.minimum(pts, end), 0.0), finish
 
 
 def airy_tail_integral(x, tol=1e-12):

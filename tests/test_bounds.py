@@ -1,5 +1,6 @@
 import json
 import math
+import signal
 
 import numpy as np
 import pytest
@@ -243,6 +244,39 @@ def test_no_overflow_up_to_128():
 def test_laplace_t0_unit():
     t0, _, _, _ = bounds.laplace_integral_bound(0.5, 1.0, 0.5)
     assert t0 == pytest.approx(1.0, rel=1e-14)
+
+
+def test_laplace_raises_once_t0_leaves_the_double_range():
+    # sine [0, 1]: B_tilde = 5.3966..., delta = 1/4; t0 = exp(4 lam + 20.587)
+    b_tilde = bounds.rewrite_b_tilde(bounds.b_constant(SINE, UNIT), 1.0)[0]
+    assert math.isfinite(bounds.laplace_integral_bound(b_tilde, 0.25, 172.0)[3])
+    for b, lam in ((b_tilde, 172.375), (b_tilde, 180.0), (-200.0, 178.0), (math.nan, 1.0)):
+        with pytest.raises(CertificateError):
+            bounds.laplace_integral_bound(b, 0.25, lam)
+
+
+def test_c_from_b_refuses_non_finite_grid_bounds():
+    # delta = 2 makes delta t0 overflow while t0 is still finite; the
+    # one-double walk towards the smallest c would then never end
+    def expire(signum, frame):
+        raise TimeoutError("_c_from_b still running after 20 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(20)
+    try:
+        with pytest.raises(CertificateError):
+            bounds._c_from_b(5.25, 0.125, 1400.0, [4.0])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_moment_log_bound_is_never_inf():
+    rep = bounds.build_bound_report(SINE, UNIT)
+    assert math.isfinite(rep.moment_log_bound(171.5))
+    for lam in (172.0, 300.0):
+        with pytest.raises(CertificateError):
+            rep.moment_log_bound(lam)
 
 
 def test_laplace_stationary_identity():

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from dpptails import cli
+from dpptails import cli, kernels
 
 
 def run(argv):
@@ -80,15 +80,20 @@ def test_bad_window_exit_2(tmp_path):
                 "--out", str(tmp_path / "x")]) == 2
 
 
-def _compare_csv(tmp_path, name, env_extra):
-    # the CLI in a fresh interpreter, so the BLAS thread count takes effect
-    env = dict(os.environ, **env_extra)
+def _cli_subprocess(argv, env_extra=(), timeout=300):
+    # the CLI in a fresh interpreter: environment settings take effect, and
+    # a run that never ends fails the test
+    env = dict(os.environ, **dict(env_extra))
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    out = tmp_path / name
-    proc = subprocess.run([sys.executable, "-m", "dpptails.cli", "compare", "--kernel", "airy",
-                           "--window=-1,0", "--out", str(out)],
-                          env=env, capture_output=True, text=True, timeout=300)
+    return subprocess.run([sys.executable, "-m", "dpptails.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
+def _compare_csv(tmp_path, name, env_extra):
+    # the BLAS thread count takes effect in a fresh interpreter only
+    proc = _cli_subprocess(["compare", "--kernel", "airy", "--window=-1,0",
+                            "--out", str(tmp_path / name)], env_extra)
     assert proc.returncode == 0, proc.stderr[-2000:]
     return (tmp_path / (name + ".csv")).read_bytes()
 
@@ -232,6 +237,59 @@ def test_exact_spectrum_out_of_range_exit_3(tmp_path):
     # order 8 cannot resolve ~20 near-unit eigenvalues on a length-20 window
     assert run(["exact", "--kernel", "sine", "--window", "0,20", "--order", "8",
                 "--out", str(tmp_path / "x")]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    # exp-moment bounds past the double range sent the c walk across every
+    # double (175, 177, airy 118), or raised an uncaught OverflowError (180)
+    ["bound", "--kernel", "sine", "--window", "0,1", "--lambda", "1:175:2"],
+    ["bound", "--kernel", "sine", "--window", "0,1", "--lambda", "1:177:2"],
+    ["bound", "--kernel", "sine", "--window", "0,1", "--lambda", "1:180:2"],
+    ["bound", "--kernel", "airy", "--window=-1,0", "--lambda", "1:118:2"],
+    ["compare", "--kernel", "sine", "--window", "0,1", "--order", "24", "--lambda", "1:175:2"],
+])
+def test_moment_grid_past_double_range_exit_3(tmp_path, argv):
+    proc = _cli_subprocess(argv + ["--out", str(tmp_path / "x")], timeout=120)
+    assert proc.returncode == 3, proc.stderr[-2000:]
+    assert "numerical failure: t0 = exp(" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["bound", "exact"])
+@pytest.mark.parametrize("s", ["nan", "inf"])
+def test_non_finite_bessel_parameter_exit_2(tmp_path, command, s):
+    proc = _cli_subprocess([command, "--kernel", f"bessel:s={s}", "--window", "0.5,2",
+                            "--out", str(tmp_path / "x")], timeout=120)
+    assert proc.returncode == 2, proc.stderr[-2000:]
+    assert "requires finite s > -1" in proc.stderr
+
+
+def test_bessel_window_touching_zero_exit_2(tmp_path):
+    # every Gauss-Legendre node lies inside (0, 1), so only the window rule
+    # refuses these
+    qp = _q_spec_file(tmp_path, {"family": "box"})
+    for command, extra in (("exact", []), ("sample", ["--q-spec", qp])):
+        assert run([command, "--kernel", "bessel:s=0.5", "--window=0,1", "--order", "32",
+                    *extra, "--out", str(tmp_path / "x")]) == 2
+
+
+def test_exact_writes_no_infinity(tmp_path):
+    # exp(lam N^2) overflowed at lambda 1.75 and 3 and the JSON said Infinity
+    out = str(tmp_path / "ex")
+    assert run(["exact", "--kernel", "sine", "--window", "0,20", "--order", "128",
+                "--lambda", "0.5:3:3", "--out", out]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads((tmp_path / "ex.json").read_text(), parse_constant=refuse)
+    rows = payload["exp_moment_sq"]
+    assert [row["lambda"] for row in rows] == [0.5, 1.75, 3.0]
+    assert all("log_upper" in row and "value" not in row for row in rows)
+
+
+def test_kernel_help_lists_the_registry(capsys):
+    assert run(["bound", "--help"]) == 0
+    assert " | ".join(kernels.KERNEL_IDS) in " ".join(capsys.readouterr().out.split())
 
 
 def test_exact_csv_format(tmp_path):

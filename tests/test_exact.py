@@ -457,6 +457,17 @@ def test_exp_moment_guard_raises():
         exact.exp_moment_sq(c, 3.0)
 
 
+def test_exp_moment_raises_before_overflow_without_warning():
+    # a one-point pmf has no truncated mass, so no guard: exp(lam N^2) with
+    # lam N^2 past log(DBL_MAX) used to return inf with a RuntimeWarning
+    c = exact.count_distribution(exact.Spectrum(np.ones(2), 0.0))
+    largest = math.log(sys.float_info.max) / 4.0
+    assert math.isfinite(exact.exp_moment_sq(c, largest))
+    # RuntimeWarnings are errors under the test configuration
+    with pytest.raises(exact.TruncationError):
+        exact.exp_moment_sq(c, math.nextafter(largest, 1e3))
+
+
 def test_exp_moment_bracket_contains_point_value():
     win = Interval(0.0, 1.0)
     c = exact.count_distribution(exact.spectrum(exact.discretize(SINE, win, 160)))

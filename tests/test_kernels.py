@@ -263,6 +263,53 @@ def test_factorization_reconstruction_invariant():
             assert recon == pytest.approx(direct, rel=1e-9, abs=1e-12)
 
 
+def test_kernel_range_checks_at_their_endpoints():
+    # the airy4 entries need Ai and its tail integral: [-10, 15]
+    kernels.eval_matrix(AIRY4, np.array([-10.0, 15.0]), 0.0)
+    for x in (math.nextafter(-10.0, -11.0), math.nextafter(15.0, 16.0)):
+        with pytest.raises(DomainError):
+            kernels.eval_matrix(AIRY4, x, 0.0)
+    kernels.eval_complex(GINIBRE, 12.0, -12.0j)
+    with pytest.raises(DomainError):
+        kernels.eval_complex(GINIBRE, math.nextafter(12.0, 13.0), 0.0)
+
+
+def test_growth_envelope_constants_must_be_positive():
+    for bad in ((math.nan, 1.0, 1.0), (1.0, math.nan, 1.0), (1.0, 1.0, math.nan), (0.0, 1.0, 1.0)):
+        with pytest.raises(ValueError):
+            kernels.GrowthEnvelope(*bad)
+
+
+def test_bessel_window_rule_is_one_check():
+    # check_window holds the half-line rule for growth_envelope, factorization
+    # and sup_density alike; s = 0 (rho == 1) may touch or cross the origin
+    for window in (Interval(0.0, 1.0), Interval(-1.0, 1.0)):
+        for call in (kernels.check_window, kernels.growth_envelope,
+                     kernels.factorization, kernels.sup_density):
+            with pytest.raises(DomainError):
+                call(BESSEL_HALF, window)
+    zero = kernels.make_kernel("bessel:s=0")
+    for window in (Interval(0.0, 1.0), Interval(-1.0, 1.0)):
+        kernels.check_window(zero, window)
+        assert kernels.sup_density(zero, window) == 1.0
+
+
+def test_sup_density_is_the_factorization_sup():
+    for spec, window in ((SINE, Interval(0.0, 1.0)), (AIRY, Interval(-1.0, 0.0)),
+                         (BESSEL_HALF, Interval(0.25, 4.0)), (BESSEL2, Interval(1.0, 4.0)),
+                         (kernels.make_kernel("bessel:s=-0.5"), Interval(0.25, 1.0))):
+        assert kernels.sup_density(spec, window) == kernels.factorization(spec, window).sup_density
+    # rho = (x/4)^{-1/4} falls, so its sup is at the left end
+    assert kernels.sup_density(kernels.make_kernel("bessel:s=-0.5"), Interval(0.25, 1.0)) == 2.0
+    for spec in (SINE4, AIRY4, GINIBRE):
+        assert kernels.sup_density(spec, Interval(-1.0, 0.0)) == 1.0
+    # the window ends must lie in the kernel's domain
+    for spec, window in ((AIRY, Interval(-21.0, 0.0)), (BESSEL_HALF, Interval(1.0, 1601.0)),
+                         (SINE, Interval(0.0, math.inf))):
+        with pytest.raises(DomainError):
+            kernels.sup_density(spec, window)
+
+
 def test_bessel_factorization_window_errors():
     with pytest.raises(DomainError):
         kernels.factorization(BESSEL_HALF, Interval(0.0, 1.0))
@@ -452,6 +499,10 @@ _NAN = math.nan
     lambda: kernels.kernel_matrix(BESSEL_HALF, [_NAN, 1.0]),
     lambda: kernels.eval_matrix(AIRY4, _NAN, 0.0),
     lambda: kernels.eval_matrix(AIRY4, np.array([0.0, 1.0]), np.array([_NAN, 0.0])),
+    lambda: kernels.eval_complex(GINIBRE, _NAN, 0.0),
+    lambda: kernels.eval_complex(GINIBRE, 0.0, complex(1.0, _NAN)),
+    lambda: kernels.make_kernel("bessel:s=nan"),
+    lambda: kernels.make_kernel("bessel:s=inf"),
 ])
 def test_nan_raises_domain_error(call):
     with pytest.raises(DomainError):

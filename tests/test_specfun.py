@@ -218,6 +218,28 @@ def test_airy_domain_errors():
         sf.airy_ai(-20.5)
 
 
+# every check that reads its interval from WORKING_RANGES, with the routine
+# that runs it; a closed range takes its ends and refuses the next double out
+_RANGE_CHECKS = [
+    ("sinc_antiderivative", sf.sinc_antiderivative),
+    ("bessel_j", lambda x: sf.bessel_j(0.5, x)),
+    ("airy_ai", sf.airy_ai),
+    ("airy_ai", lambda x: sf._airy_pairs(np.array([x]))),
+    ("airy_tail_integral", sf.airy_tail_integral),
+]
+
+
+@pytest.mark.parametrize("name, call", _RANGE_CHECKS)
+def test_range_checks_at_registered_endpoints(name, call):
+    low, high = sf.WORKING_RANGES[name].working_range
+    for end, outward in ((low, -math.inf), (high, math.inf)):
+        if math.isinf(end):
+            continue
+        call(end)
+        with pytest.raises(sf.DomainError):
+            call(math.nextafter(end, outward))
+
+
 def test_airy_tail_integral_at_zero():
     assert sf.airy_tail_integral(0.0) == pytest.approx(1.0 / 3.0, abs=1e-13)
 
