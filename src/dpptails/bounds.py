@@ -86,16 +86,13 @@ def divided_differences(evaluator, points):
     """Fill the divided-difference table by the first-vs-last recursion
     d[j][k] = (d[j][k-1] - d[j+1][k]) / (x_j - x_k) along the second slot."""
     pts = _check_points(points)
-    n = len(pts)
-    q = np.empty((n, n))
-    for i in range(n):
-        # tableau over contiguous blocks of the interpolation points
-        d = {(j, j): float(evaluator(pts[i], pts[j])) for j in range(n)}
-        for width in range(1, n):
-            for j in range(n - width):
-                k = j + width
-                d[(j, k)] = (d[(j, k - 1)] - d[(j + 1, k)]) / (pts[j] - pts[k])
-        q[i, :] = [d[(0, l)] for l in range(n)]
+    x = np.array(pts)
+    # column j of c holds d[j][j + width] for every row
+    c = np.array([[float(evaluator(p, y)) for y in pts] for p in pts]).reshape(x.size, x.size)
+    q = c.copy()
+    for width in range(1, x.size):
+        c = (c[:, :-1] - c[:, 1:]) / (x[:-width] - x[width:])
+        q[:, width] = c[:, 0]
     return DividedDifferenceTable(tuple(pts), q)
 
 
@@ -421,13 +418,16 @@ def c_constant(spec, window, lambda_max, exponent_scale=4.0, n_max=64):
 def combination_d(psi_at_1, psi_prime_at_0):
     """Constant d of the convex-function lemma:
     min(e^{Psi}, 1 + lam e^{Psi}) <= e^{d (Psi - 1)} for increasing convex
-    Psi with Psi(0) = 1, via d >= Psi(1)/(Psi(1)-1) and d >= e^{Psi(1)}/Psi'(0)."""
+    Psi with Psi(0) = 1, via d >= Psi(1)/(Psi(1)-1) and d >= e^{Psi(1)}/Psi'(0);
+    CertificateError where d overflows a double."""
     if psi_at_1 <= 1.0:
         raise ValueError("need Psi(1) > 1")
     if psi_prime_at_0 <= 0.0:
         raise ValueError("need Psi'(0) > 0")
-    return max(psi_at_1 / (psi_at_1 - 1.0),
-               math.exp(min(700.0, psi_at_1)) / psi_prime_at_0)
+    grow = math.exp(psi_at_1) / psi_prime_at_0 if psi_at_1 <= _LOG_MAX else math.inf
+    if grow == math.inf:
+        raise CertificateError(f"d overflows a double at Psi(1) = {psi_at_1}")
+    return max(psi_at_1 / (psi_at_1 - 1.0), grow)
 
 
 def poisson_exp_moment(theta, lam):
@@ -479,7 +479,8 @@ class BoundReport:
     def moment_log_bound(self, lam):
         """Moment bound c (e^{4 sigma lam} - 1) on log E exp(lam * count^2);
         CertificateError where it overflows a double."""
-        value = self.c_moment * math.expm1(min(700.0, 4.0 * self.sigma * lam))
+        exponent = 4.0 * self.sigma * lam
+        value = self.c_moment * math.expm1(exponent) if exponent <= _LOG_MAX else math.inf
         if value == math.inf:
             raise CertificateError(f"the moment bound overflows a double at lambda={lam}")
         return value

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration error, 3 numerical or dominance
 failure.  Every output file starts with a provenance header (kernel id,
-window, order, seed, toolkit version); floats are serialized with 17
-significant digits and files are written atomically (temp file + rename).
+window, order, seed, toolkit version).  CSV floats carry 17 significant
+digits; JSON floats take json.dumps' shortest round-trip form (0.1, not
+0.10000000000000001).  Files are written atomically (temp file + rename).
 """
 
 import argparse
@@ -87,8 +88,9 @@ def _lambda_grid(text):
         start, stop, pts = float(start), float(stop), int(pts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"cannot parse {text!r}; expected start:stop:points")
-    if pts < 1 or start <= 0 or stop < start:
-        raise argparse.ArgumentTypeError("lambda grid must be positive and nonempty")
+    # written so that NaN, which fails every comparison, is refused too
+    if pts < 1 or not 0.0 < start <= stop < math.inf:
+        raise argparse.ArgumentTypeError("lambda grid must be finite, positive and nonempty")
     return list(np.linspace(start, stop, pts))
 
 

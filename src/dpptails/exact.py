@@ -474,6 +474,8 @@ def exp_moment_sq_bracket(c, lam, tail_log_fn=None):
 
     - perturbation/dropped mass inflates the moment by at most
       exp(T * e^{lam (2N+1)}) while the count stays within the retained range;
+      where e^{lam (2N+1)} is not a double, the bound e^{lam N^2} of
+      exp(lam count^2) on that range serves instead;
     - a count of N + j needs j dropped components to fire:
       P(# >= N + j) <= min(1, T^j/j!, exp(tail_log_fn(N + j))); the last
       entry is the analytic divided-difference chain, the only handle below
@@ -494,7 +496,11 @@ def exp_moment_sq_bracket(c, lam, tail_log_fn=None):
     log_up = log_low
     t = c.truncation_error_bound
     if t > 0.0:
-        log_up += t * math.exp(min(700.0, lam * (2 * big_n + 1)))
+        grow = lam * (2 * big_n + 1)
+        if grow <= _LOG_MAX:
+            log_up += t * math.exp(grow)
+        else:
+            log_up = max(log_low, lam * big_n * big_n)
     if t > 0.0 and c.n_truncated > 0:
         log_t = math.log(t)
         # counts beyond the retained support need j = k - N of the dropped

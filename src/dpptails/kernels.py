@@ -13,6 +13,7 @@ xs[None, :]).  The Airy and reduced Bessel kernels are ratio forms, and
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -194,19 +195,6 @@ def _bessel_series(s, x):
     return tuple(sums)
 
 
-def _bessel_series_triples(s, xs):
-    """(phi, psi, chi) arrays at the points xs, bit-identical to
-    `_bessel_series_triple` at each point."""
-    return specfun._series_values(xs, lambda p: _bessel_series(s, p),
-                                  lambda v: _bessel_series_triple(s, v))
-
-
-@lru_cache(maxsize=65536)
-def _bessel_series_triple(s, x):
-    """(phi, psi, chi) at one point, cached."""
-    return _bessel_series(s, float(x))
-
-
 def _bessel_reduced_diag(x, f):
     # g' phi - g phi' with g = (x/4) psi, phi' = -psi/4, psi' = -chi/4
     phi, psi, chi = f
@@ -217,7 +205,7 @@ def _bessel_reduced(s, x, y):
     """Reduced Bessel kernel [g(x) phi(y) - g(y) phi(x)] / (x - y) with
     g = (x/4) psi, at the broadcast pairs of x and y."""
     return _ratio_kernel(
-        x, y, lambda p: _bessel_series_triples(s, p),
+        x, y, lambda p: specfun._series_values(p, lambda v: _bessel_series(s, v)),
         lambda x, fx, y, fy: ((x / 4.0) * fx[1] * fy[0] - (y / 4.0) * fy[1] * fx[0]) / (x - y),
         _bessel_reduced_diag)[0]
 
@@ -421,22 +409,30 @@ def intensity(spec, x):
 # growth envelopes
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=256)
 def _bessel_envelope_amplitude(s, b):
     """Explicit majorization of the reduced Bessel kernel on windows in (0, b].
 
     Divided-difference split PiTilde(p,z) = phi(p) Dg - g(p) Dphi with the
     termwise bounds |phi| <= e^{|x|/4}/Gamma(s+1) etc.; the polynomial factor
     in |w| <= b + r is absorbed using sup_r r e^{-3r/4} = 4/(3e), leaving
-    amplitude * e^{r} with r = |z - p|.
+    amplitude * e^{r} with r = |z - p|.  An amplitude outside the normal
+    doubles (at b = 2 from s = 97.4 on, where the Gamma factors outgrow it)
+    raises DomainError.
     """
-    eb4 = math.exp(b / 4.0)
-    g2, g3 = math.gamma(s + 2.0), math.gamma(s + 3.0)
-    dphi = eb4 / (4.0 * g2)
-    dg = eb4 * (1.0 / (4.0 * g2) + b / (16.0 * g3) + (4.0 / (3.0 * math.e)) / (16.0 * g3))
-    phi_p = eb4 / math.gamma(s + 1.0)
-    g_p = (b / 4.0) * eb4 / g2
-    return phi_p * dg + g_p * dphi
+    try:
+        eb4 = math.exp(b / 4.0)
+        g2, g3 = math.gamma(s + 2.0), math.gamma(s + 3.0)
+        dphi = eb4 / (4.0 * g2)
+        dg = eb4 * (1.0 / (4.0 * g2) + b / (16.0 * g3) + (4.0 / (3.0 * math.e)) / (16.0 * g3))
+        phi_p = eb4 / math.gamma(s + 1.0)
+        g_p = (b / 4.0) * eb4 / g2
+        amplitude = phi_p * dg + g_p * dphi
+    except OverflowError:
+        amplitude = math.inf
+    if not sys.float_info.min <= amplitude < math.inf:
+        raise DomainError(f"the bessel:s={s} envelope amplitude on (0, {b}] leaves the "
+                          "double range")
+    return amplitude
 
 
 # (C_A, C_Ap) with |Ai(w)| <= C_A e^{(2/3)|w|^{3/2}} and
@@ -449,6 +445,7 @@ def _bessel_envelope_amplitude(s, b):
 _AIRY_MAJORANTS = (0.39888262466694224, 0.32924355403876177)
 
 
+# cached: 3-6 ms a call, and a certify run asks for its one airy window 5 times
 @lru_cache(maxsize=256)
 def _airy_envelope_amplitude(a, b):
     """Window-dependent amplitude for the Airy kernel with scale 1, order 3/2.
@@ -468,6 +465,7 @@ def _airy_envelope_amplitude(a, b):
     return 1.02 * float(prof.max())
 
 
+# cached: 30-45 ms a call, and a certify run asks for its one airy4 window twice
 @lru_cache(maxsize=64)
 def _airy4_envelope_amplitude(a, b):
     """Desk-scale empirical envelope for the airy4 block entries.

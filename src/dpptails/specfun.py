@@ -463,22 +463,22 @@ def _airy_asymptotic(x):
 
 
 # below this many distinct points one array run of a series costs more than
-# the cached one-point runs (about 11 ms against 0.3-0.5 ms per point)
+# one-point runs (about 11 ms against 0.3-0.5 ms per point)
 _MIN_BATCH = 32
 
 
-def _series_values(xs, series, one_point):
+def _series_values(xs, series):
     """The outputs of an elementwise series at the points xs, each shaped
-    like xs and bit-identical to `one_point`, the cached one-point view.
+    like xs and bit-identical to `series` at each point alone.
 
     The distinct points share one array run of `series` if there are at
-    least _MIN_BATCH of them, or none; otherwise each goes through
-    `one_point`.
+    least _MIN_BATCH of them, or none; otherwise `series` runs on each
+    as a float.
     """
     x = np.asarray(xs, dtype=float)
     pts, inv = np.unique(x.ravel(), return_inverse=True)
     if 0 < pts.size < _MIN_BATCH:
-        out = [np.array(v) for v in zip(*map(one_point, pts.tolist()))]
+        out = [np.array(v) for v in zip(*map(series, pts.tolist()))]
     else:
         out = series(pts)
     return tuple(v[inv].reshape(x.shape) for v in out)
@@ -499,15 +499,14 @@ def _airy_pairs(xs):
     far = np.abs(pts) > _AIRY_SWITCH
     ai, aip = np.empty(pts.shape), np.empty(pts.shape)
     if not far.all():
-        ai[~far], aip[~far] = _series_values(pts[~far], _airy_series, _airy_pair)
+        ai[~far], aip[~far] = _series_values(pts[~far], _airy_series)
     if far.any():
         ai[far], aip[far] = _airy_asymptotic(pts[far])
     return ai[inv].reshape(x.shape), aip[inv].reshape(x.shape)
 
 
-@lru_cache(maxsize=262144)
 def _airy_pair(x):
-    """(Ai, Ai') at one point, cached; the same arithmetic as _airy_pairs."""
+    """(Ai, Ai') at one point; the same arithmetic as _airy_pairs."""
     x = float(x)
     _check_range(x, "airy_ai")
     if abs(x) <= _AIRY_SWITCH:
@@ -732,6 +731,7 @@ def _legendre_and_prime(n, x):
     return p, dp
 
 
+# cached: 6.5 ms at n = 200, 13 ms at n = 384; certify and spectra runs reuse rules
 @lru_cache(maxsize=128)
 def _gauss_legendre_reference(n):
     """Read-only nodes and weights of the n-point rule on [-1, 1], n >= 2."""

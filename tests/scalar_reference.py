@@ -3,7 +3,8 @@
 These are the scalar loops that the array routines of `dpptails.specfun`
 and `dpptails.kernels` replace: the Airy Maclaurin series and asymptotic
 expansions, the Bessel reduced-kernel series, depth-first adaptive
-quadrature and the per-point sinc antiderivative.  The array routines must
+quadrature, the per-point sinc antiderivative and the dict tableau of
+`dpptails.bounds.divided_differences`.  The array routines must
 reproduce them to the last bit.  `airy_global_majorants` is the derivation
 of the two Airy majorant constants that `dpptails.kernels` stores as
 literals.
@@ -240,3 +241,19 @@ def sinc_antiderivative(t):
     u = lo[:, None] + width[:, None] * rule.nodes[None, :]
     w = width[:, None] * rule.weights[None, :]
     return sign * float(np.sum(w * sinc(u)))
+
+
+def divided_differences(evaluator, points):
+    """Divided-difference table Q[i][l] by the tableau over contiguous
+    blocks of the points, one row at a time."""
+    pts = [float(p) for p in points]
+    n = len(pts)
+    q = np.empty((n, n))
+    for i in range(n):
+        d = {(j, j): float(evaluator(pts[i], pts[j])) for j in range(n)}
+        for width in range(1, n):
+            for j in range(n - width):
+                k = j + width
+                d[(j, k)] = (d[(j, k - 1)] - d[(j + 1, k)]) / (pts[j] - pts[k])
+        q[i, :] = [d[(0, l)] for l in range(n)]
+    return q

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import signal
@@ -9,6 +10,8 @@ from dpptails import bounds, exact, kernels
 from dpptails.bounds import CertificateError, CoincidentPointsError
 from dpptails.kernels import GrowthEnvelope, Interval
 from dpptails.specfun import gauss_legendre, sinc, sinc_derivative
+
+import scalar_reference as ref
 
 
 SINE = kernels.make_kernel("sine")
@@ -38,6 +41,24 @@ def test_dd_identity_function():
 def test_dd_square_monomial():
     t = bounds.divided_differences(lambda x, y: y * y, [0.0, 1.0, 3.0])
     assert np.allclose(t.entries[:, 2], [1.0, 1.0, 1.0], atol=1e-14)
+
+
+@pytest.mark.parametrize("spec", [SINE, AIRY])
+def test_dd_bit_identical_to_scalar_oracle(spec):
+    # the array recursion does each entry's operations in the tableau's order;
+    # the point sets are drawn from one pool whose Gram gives the values
+    rng = np.random.default_rng(5)
+    pool = rng.uniform(-2.0, 0.0, 64)
+    gram = kernels.kernel_matrix(spec, pool)
+    at = {x: i for i, x in enumerate(pool.tolist())}
+
+    def ev(x, y):
+        return gram[at[x], at[y]]
+
+    for n in [0, 1, 2, *rng.integers(3, 13, 200)]:
+        pts = rng.choice(pool, n, replace=False).tolist()
+        got = bounds.divided_differences(ev, pts).entries
+        assert got.tobytes() == ref.divided_differences(ev, pts).tobytes(), pts
 
 
 def test_dd_coincident_points_error():
@@ -380,6 +401,18 @@ def test_combination_d_divergence():
     assert bounds.combination_d(1.0 + 1e-9, 1.0) > 1e8
     with pytest.raises(ValueError):
         bounds.combination_d(1.0, 1.0)
+
+
+def test_combination_d_and_moment_bound_past_e700():
+    # both used to cap their exponent at 700: d(705) came out as e^700 and
+    # d(800) as e^700 too, below the e^{Psi(1)} that d must dominate
+    assert bounds.combination_d(705.0, 1.0) == math.exp(705.0)
+    with pytest.raises(CertificateError):
+        bounds.combination_d(800.0, 1.0)
+    rep = dataclasses.replace(bounds.build_bound_report(SINE, UNIT), c_moment=1.0)
+    assert rep.moment_log_bound(176.0) == math.expm1(704.0)
+    with pytest.raises(CertificateError):
+        rep.moment_log_bound(178.0)
 
 
 def test_poisson_exp_moment():

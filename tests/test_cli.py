@@ -66,6 +66,32 @@ def test_invalid_lambda_grid_exit_2(tmp_path):
                 "--lambda", "2:1:3", "--out", str(tmp_path / "x")]) == 2
     assert run(["compare", "--kernel", "sine", "--window", "0,1",
                 "--lambda", "0:1:0", "--out", str(tmp_path / "x")]) == 2
+    # NaN fails every comparison, so "nan:1:2" used to pass the range test
+    # and the JSON said "lambda": NaN
+    for grid in ("nan:1:2", "0.1:nan:2", "0.1:inf:2"):
+        assert run(["exact", "--kernel", "sine", "--window", "0,1", "--order", "32",
+                    "--lambda", grid, "--out", str(tmp_path / "x")]) == 2
+    assert not (tmp_path / "x.json").exists()
+
+
+def test_exact_bracket_past_e700_stays_within_count_support(tmp_path):
+    # lam (2N + 1) = 1020 at N = 8, where the upper value used to be 1.985e289;
+    # no count exceeds the order, 32
+    out = str(tmp_path / "ex")
+    assert run(["exact", "--kernel", "sine", "--window", "0,1", "--order", "32",
+                "--lambda", "60:60:1", "--out", out]) == 0
+    payload = json.loads((tmp_path / "ex.json").read_text())
+    (row,) = payload["exp_moment_sq"]
+    assert row["log_lower"] <= row["log_upper"] <= 60.0 * 32 ** 2
+
+
+@pytest.mark.parametrize("s", ["150", "200"])
+def test_bessel_envelope_past_double_range_exit_2(tmp_path, capsys, s):
+    # the amplitude underflowed to 0.0 (s = 150) or math.gamma raised an
+    # uncaught OverflowError (s = 200, exit 1 with a traceback)
+    assert run(["bound", "--kernel", f"bessel:s={s}", "--window", "0.5,2",
+                "--out", str(tmp_path / "x")]) == 2
+    assert "envelope amplitude on (0, 2.0] leaves the double range" in capsys.readouterr().err
 
 
 def test_unknown_kernel_exit_2(tmp_path):

@@ -483,6 +483,10 @@ def test_exp_moment_bracket_finite_at_large_lambda(lam):
     lo, up = exact.exp_moment_sq_bracket(c, lam)
     assert math.isfinite(lo) and math.isfinite(up)
     assert lo <= up
+    # every count lies in [0, N + n_truncated]; at lam = 50 the dropped-mass
+    # term T e^{lam (2N+1)} has no double, and capping its exponent at 700
+    # gave 2.6e289 nats
+    assert up <= lam * (c.pmf.size - 1 + c.n_truncated) ** 2
 
 
 # ---------------------------------------------------------------------------

@@ -371,15 +371,19 @@ def test_bessel_series_triples_bit_identical_to_scalar_oracle(s):
     if s == 0.0:
         xs = np.append(xs, 0.0)
     want = np.array([ref.bessel_series_triple(s, v) for v in xs]).T
-    got = kernels._bessel_series_triples(s, xs)
+
+    def triples(pts):
+        return specfun._series_values(pts, lambda p: kernels._bessel_series(s, p))
+
+    got = triples(xs)
     for row in range(3):
         assert _bits(got[row]) == _bits(want[row]), row
-    # the cached one-point view and the small-batch path run the same recurrence
+    # a one-point run and the small-batch path run the same recurrence
     for v in xs[::37]:
-        assert kernels._bessel_series_triple(s, v) == ref.bessel_series_triple(s, v)
-    small = kernels._bessel_series_triples(s, xs[:5])
+        assert kernels._bessel_series(s, float(v)) == ref.bessel_series_triple(s, v)
+    small = triples(xs[:5])
     assert _bits(np.array(small)) == _bits(want[:, :5])
-    assert [v.shape for v in kernels._bessel_series_triples(s, xs[:0])] == [(0,)] * 3
+    assert [v.shape for v in triples(xs[:0])] == [(0,)] * 3
 
 
 @pytest.mark.parametrize("spec, lo, hi", [(AIRY, -6.0, 2.0), (BESSEL_HALF, 0.3, 8.0),
@@ -436,20 +440,17 @@ def test_airy4_blocks_match_pairs_and_separate_tail_integrals():
 def test_airy4_envelope_runs_three_airy_series_passes(monkeypatch):
     # one Airy pass per quadrature round of the shared tail batch, whose
     # first round also covers the entries' own points; no point takes the
-    # one-point view (6 passes and 267 one-point calls before the batch)
+    # one-point path, a series run from a float state (6 passes and 267
+    # one-point runs before the batch)
     counts = {"array_series": 0, "one_point": 0}
-    iterate, pair = specfun._iterate, specfun._airy_pair
+    iterate = specfun._iterate
 
     def counting_iterate(step, converged, state, *args):
-        counts["array_series"] += isinstance(state[0], np.ndarray)
+        on_array = isinstance(state[0], np.ndarray)
+        counts["array_series" if on_array else "one_point"] += 1
         return iterate(step, converged, state, *args)
 
-    def counting_pair(x):
-        counts["one_point"] += 1
-        return pair(x)
-
     monkeypatch.setattr(specfun, "_iterate", counting_iterate)
-    monkeypatch.setattr(specfun, "_airy_pair", counting_pair)
     amplitude = kernels._airy4_envelope_amplitude.__wrapped__(-1.0, 0.0)
     assert amplitude.hex() == "0x1.be347867e741ap-4"
     assert counts == {"array_series": 3, "one_point": 0}

@@ -312,7 +312,7 @@ def test_airy_pairs_bit_identical_to_one_point_view():
     want = [sf._airy_pair(float(v)) for v in xs]
     assert _bits(ai) == _bits([w[0] for w in want])
     assert _bits(aip) == _bits([w[1] for w in want])
-    # below the batch size the points go through the cached view; shapes survive
+    # below the batch size each point runs the series alone; shapes survive
     small_ai, _ = sf._airy_pairs(xs[:6].reshape(2, 3))
     assert small_ai.shape == (2, 3) and _bits(small_ai.ravel()) == _bits(ai[:6])
 
