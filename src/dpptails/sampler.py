@@ -18,7 +18,13 @@ The draw runs chunk-wise.  A chunk's coins give each configuration its m;
 the chunk is ordered by m, largest first, and runs its chain-rule steps once
 for all configurations, the ones still drawing at step k being a prefix.
 Each orthonormal vector is kept as r coefficients on the live eigenvector
-rows, so a chunk holds (n + r^2) doubles per configuration.
+rows, so a chunk holds (n + r^2) doubles per configuration.  The running
+diagonal is updated only on the configurations that pick again, by 2-D
+products in the row blocks of `exact._row_blocks`, the one home of the
+BLAS budget.  Each pick is a two-level inverse CDF over blocks of
+ceil(sqrt(n)) nodes (`_inverse_cdf`): a block's end is the last entry of its
+left-to-right cumsum bit for bit, so the search is monotone and lands on a
+node of zero weight only when the target is 0.
 """
 
 import inspect
@@ -98,23 +104,30 @@ def pair_functional(evaluator, support, grid=64):
         dvals = _eval_grid(evaluator, diag, diag).diagonal()
         if np.max(np.abs(dvals)) > 1e-12:
             raise ValueError("q must vanish on the diagonal")
+    # blocks [k-1, k+1] x [l-1, l+1] that intersect (even touch) the support;
+    # one evaluator call takes a row k and a run of its l blocks side by side,
+    # each call's arrays under 2^14 doubles (128 KiB): glibc maps a larger
+    # array, and its free moves the mmap threshold, which at one call per
+    # row raised the sample job's peak RSS by 0.5 MB
+    ls = [l for l in range(math.ceil(y0) - 1, math.floor(y1) + 2)
+          if max(l - 1.0, y0) <= min(l + 1.0, y1)]
+    per_call = max(1, ((1 << 14) - 1) // (grid * grid))
+    runs = [ls[i:i + per_call] for i in range(0, len(ls), per_call)]
+    grids = [np.concatenate([np.linspace(max(l - 1.0, y0), min(l + 1.0, y1), grid)
+                             for l in run]) for run in runs]
     norms = {}
     total = 0.0
-    # blocks [k-1, k+1] x [l-1, l+1] that intersect (even touch) the support
     for k in range(math.ceil(x0) - 1, math.floor(x1) + 2):
         bx0, bx1 = max(k - 1.0, x0), min(k + 1.0, x1)
         if bx0 > bx1:
             continue
         xs = np.linspace(bx0, bx1, grid)
-        for l in range(math.ceil(y0) - 1, math.floor(y1) + 2):
-            by0, by1 = max(l - 1.0, y0), min(l + 1.0, y1)
-            if by0 > by1:
-                continue
-            ys = np.linspace(by0, by1, grid)
-            m = float(np.max(np.abs(_eval_grid(evaluator, xs, ys))))
-            if m > 0.0:
-                norms[(k, l)] = m
-                total += m
+        for run, ys in zip(runs, grids):
+            vals = np.abs(_eval_grid(evaluator, xs, ys)).reshape(grid, len(run), grid)
+            for l, m in zip(run, np.max(vals, axis=(0, 2)).tolist()):
+                if m > 0.0:
+                    norms[(k, l)] = m
+                    total += m
     return PairFunctional(evaluator, (x0, x1, y0, y1), norms, total)
 
 
@@ -291,6 +304,38 @@ def _chunk_size(n, r):
     return max(1, _BUDGET // (n + r * r))
 
 
+def _block_columns(n):
+    """(bs, nb, col): blocks of bs = ceil(sqrt(n)) nodes, nb of them, and the
+    block-major column col[x] = j nb + b of node x = b bs + j.  The last
+    block's missing nodes are zero columns."""
+    bs = math.isqrt(max(n - 1, 0)) + 1
+    nb = -(-n // bs)
+    x = np.arange(n)
+    return bs, nb, x % bs * nb + x // bs
+
+
+def _inverse_cdf(d, u, bs):
+    """Per row of d >= 0 (in `_block_columns` order, bs nodes a block), the
+    first node x with cum(x) >= target = u * total: a two-level search.
+
+    The nb block sums T_b are sums of contiguous column runs, each added left
+    to right, and E_b = E_{b-1} + T_b (E_{-1} = 0, the total is E_{nb-1}).
+    The block is the first b with E_b >= target, and the node its first j
+    with cum = E_{b-1} + c_j >= target, c_j the block's left-to-right cumsum.
+    c's last entry is T_b bit for bit, so such a j exists; cum is
+    nondecreasing, so a node of zero weight, the zero columns that pad the
+    last block included, is never first unless target = 0.
+    """
+    rows = np.arange(d.shape[0])
+    blocks = d.reshape(rows.size, bs, -1)
+    ends = np.zeros((rows.size, blocks.shape[2] + 1))   # E_{b-1} in column b
+    np.add.accumulate(np.einsum("ajb->ab", blocks), axis=1, out=ends[:, 1:])
+    target = u[:, None] * ends[:, -1:]
+    b = np.argmax(ends[:, 1:] >= target, axis=1)
+    cum = ends[rows, b][:, None] + np.add.accumulate(blocks[rows, :, b], axis=1)
+    return b * bs + np.argmax(cum >= target, axis=1)
+
+
 def _draw_range(lams, vectors, seed, start, stop):
     """Configurations start..stop-1 as (flat node indices, offsets).
 
@@ -308,15 +353,21 @@ def _draw_range(lams, vectors, seed, start, stop):
     K = W^T diag(s) W starts at s W^2.  Step k picks x with weight d(x), keeps
     e_k = a_k W by its r coefficients
     a_k = (s * W(:, x) - sum_{j<k} e_j(x) a_j) / sqrt(d(x)), e_j(x) = a_j W(:, x),
-    and sets d -= e_k^2 with one stacked (1, r) x (r, n) product per
-    configuration (a 2-D product would wake a second BLAS thread).
+    and sets d -= e_k^2 on the configurations that pick again (m > k + 1).
+    The pick is `_inverse_cdf` on d, stored in `_block_columns` order.  The
+    products s W^2 and a_k W are 2-D, (configurations, r) @ (r, nodes), in
+    the row blocks of `exact._row_blocks`, so none exceeds the multiply-add
+    budget under which OpenBLAS stays on the calling thread.
     """
     n = lams.size
     live = np.flatnonzero(lams > 0.0)     # coins lie in [0, 1): no other column is picked
+    r = live.size
     wt = vectors[:, live]                 # row x is W(:, x)
-    w = np.ascontiguousarray(wt.T)
+    bs, nb, col = _block_columns(n)
+    w = np.zeros((r, bs * nb))
+    w[:, col] = wt.T
     w2 = np.square(w)
-    chunk = _chunk_size(n, live.size)
+    chunk = _chunk_size(n, r)
     sizes = np.empty(stop - start, dtype=np.intp)
     parts = [np.empty(0, dtype=np.intp)]
     for first in range(start, stop, chunk):
@@ -332,26 +383,28 @@ def _draw_range(lams, vectors, seed, start, stop):
         order = order[:active[0]]
         keys, s = keys[order], sel[order].astype(float)
         u = _philox_doubles(seed, keys, np.arange(n, n + mmax))
-        d = np.matmul(s[:, None, :], w2)[:, 0]
-        coef = np.empty((order.size, mmax, live.size))
+        d = np.empty((order.size, bs * nb))
+        for blk in exact._row_blocks(order.size, r, bs * nb):
+            np.matmul(s[blk], w2, out=d[blk])
+        coef = np.empty((order.size, mmax, r))
         picks = np.full((order.size, mmax), n, dtype=np.intp)
         rows = np.arange(order.size)
-        for k, a in enumerate(active[:mmax].tolist()):
+        for k, (a, a1) in enumerate(zip(active[:mmax].tolist(), active[1:].tolist())):
             dk = d[:a]
             np.maximum(dk, 0.0, out=dk)
-            cum = np.add.accumulate(dk, axis=1)
-            target = u[:a, k:k + 1] * cum[:, -1:]
-            # the count is searchsorted(cum, target) on each nondecreasing row
-            i = np.minimum(np.add.reduce(cum < target, axis=1), n - 1)
+            i = _inverse_cdf(dk, u[:a, k], bs)
             picks[:a, k] = i
             wi = wt[i]                    # W(:, x), one row per configuration
             ak = s[:a] * wi
             if k:
                 ck = coef[:a, :k]
-                ak -= np.einsum("ak,akr->ar", np.einsum("akr,ar->ak", ck, wi), ck)
-            ak /= np.sqrt(dk[rows[:a], i])[:, None]
+                ex = np.matmul(ck, wi[:, :, None])        # e_j(x) as (a, k, 1)
+                ak -= np.matmul(ex.transpose(0, 2, 1), ck)[:, 0]
+            ak /= np.sqrt(dk[rows[:a], col[i]])[:, None]
             coef[:a, k] = ak
-            dk -= np.square(np.matmul(ak[:, None, :], w)[:, 0])
+            for blk in exact._row_blocks(a1, r, bs * nb):
+                e = np.matmul(ak[blk], w)
+                d[blk] -= np.square(e, out=e)
         picks = picks[np.argsort(order)]  # back to configuration order,
         picks.sort(axis=1)                # and nodes increase strictly: point order
         parts.append(picks[picks < n])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import tracemalloc
@@ -193,6 +194,97 @@ def test_block_draws_match_per_configuration_loop_other_systems(kernel, window, 
     got = _index_lists(*sampler._draw_range(s.eigenvalues, vectors, 29, 0, 5_000))
     for k, cfg in enumerate(got):
         assert cfg == _reference_draw(s.eigenvalues, vectors, 29, k), k
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (1, "6b9130212d0188d03a7eea229e59409af8a7fbfc36d5bf92725cf37bb61053cd"),
+    (2, "eeca87329206ad97752fe2b0e0517f9247ac2f9a9d30e7dd4d228ffb250278f1")])
+def test_montecarlo_draws_pinned(seed, digest):
+    # the batch (seed 1) and NA (seed 2) streams of the montecarlo benchmark
+    # job: sha256 of the little-endian int64 indices, then offsets
+    _, s, vectors = sampler.solve(SINE, Interval(-3.0, 3.0), 128)
+    indices, offsets = sampler._draw_range(s.eigenvalues, vectors, seed, 0, 10_000)
+    data = indices.astype("<i8").tobytes() + offsets.astype("<i8").tobytes()
+    assert hashlib.sha256(data).hexdigest() == digest
+
+
+@pytest.mark.parametrize("window, order", [((-3.0, 3.0), 128), ((0.0, 20.0), 512)])
+def test_draw_products_stay_within_the_blas_budget(window, order, monkeypatch):
+    # a woken OpenBLAS thread leaves the picks as they are, so the products
+    # themselves are checked: each matrix product the draw issues (one per
+    # matrix of a stacked product) has rows * inner * cols <= the budget
+    _, s, vectors = sampler.solve(SINE, Interval(*window), order)
+    sizes = []
+    matmul = np.matmul
+
+    def recording(x, y, **kwargs):
+        sizes.append(x.shape[-2] * x.shape[-1] * y.shape[-1])
+        return matmul(x, y, **kwargs)
+
+    monkeypatch.setattr(sampler.np, "matmul", recording)
+    sampler._draw_range(s.eigenvalues, vectors, 1, 0, 3_000)
+    monkeypatch.undo()
+    assert sizes and max(sizes) <= exact._BLAS_BLOCK, max(sizes)
+
+
+def _sequential_ends(d, bs):
+    """Per block of a `_block_columns` row, E_{b-1} + c_j for each of its
+    nodes, and the total, every sum a Python float sum left to right."""
+    nb = d.size // bs
+    runs, end = [], 0.0
+    for b in range(nb):                   # block b holds columns b, b + nb, ...
+        c, run = 0.0, []
+        for x in d[b::nb].tolist():
+            c += x
+            run.append(end + c)
+        runs.append(run)
+        end += c
+    return runs, end
+
+
+def _sequential_inverse_cdf(d, u, bs):
+    """`_inverse_cdf` on one row by `_sequential_ends`."""
+    runs, total = _sequential_ends(d, bs)
+    target = float(u) * total
+    for b, run in enumerate(runs):
+        if run[-1] >= target:
+            return b * bs + next(j for j, v in enumerate(run) if v >= target)
+    raise AssertionError("no block reaches the target")
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 128, 529])
+def test_inverse_cdf_is_the_sequential_two_level_rule(n):
+    # weights over 16 decades, many zeros, a row of zeros, all mass on the
+    # last node, u = 0, and targets that fall exactly on a block's end,
+    # where a block sum rounded otherwise than its cumsum would pick wrong
+    bs, nb, col = sampler._block_columns(n)
+    rng = np.random.default_rng(n)
+    weights = 10.0 ** rng.uniform(-8, 8, (60, n)) * (rng.random((60, n)) < 0.6)
+    weights[0] = 0.0
+    weights[1] = 0.0
+    weights[1, -1] = 1.0
+    d = np.zeros((60, bs * nb))
+    d[:, col] = weights
+    u = rng.random(60)
+    u[2] = 0.0
+    for row in range(3, 60, 2):
+        runs, total = _sequential_ends(d[row], bs)
+        if total == 0.0:
+            continue
+        end = runs[rng.integers(nb)][-1]
+        v = end / total
+        for _ in range(8):
+            if v * total == end or v >= 1.0:
+                break
+            v = float(np.nextafter(v, np.inf if v * total < end else -np.inf))
+        if v < 1.0:
+            u[row] = v
+    got = sampler._inverse_cdf(d, u, bs)
+    for row in range(60):
+        assert got[row] == _sequential_inverse_cdf(d[row], u[row], bs), row
+    assert np.all(got < n) and got[1] == n - 1
+    picked = weights[np.arange(60), got]
+    assert np.all((picked > 0.0) | (u * weights.sum(axis=1) == 0.0))
 
 
 def test_block_draws_follow_the_discrete_dpp_law():
