@@ -152,7 +152,7 @@ def derivative_max_bounds(spec, window, n):
     out = []
     for l in range(int(n)):
         lv = log_cauchy_coefficient_bound(env, l)
-        out.append(DerivativeMaxBound(l, math.exp(lv) if lv < 700 else math.inf, lv))
+        out.append(DerivativeMaxBound(l, math.exp(lv) if lv <= _LOG_MAX else math.inf, lv))
     return out
 
 

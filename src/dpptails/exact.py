@@ -121,15 +121,19 @@ class CountDistribution:
 # Nystrom discretization
 # ---------------------------------------------------------------------------
 
+def _on_pairs(f, xs, ys):
+    """f on the grid xs x ys from one call on the broadcast pairs (a constant too)."""
+    vals = f(xs[:, None], ys[None, :])
+    return np.array(np.broadcast_to(vals, (xs.size, ys.size)), dtype=float)
+
+
 def _kernel_gram(spec, xs):
     """(Gram matrix at the nodes xs, kernel id) of a KernelSpec or of a plain
-    callable (x, y) -> value, id "custom": one call on the broadcast pairs (a
-    constant broadcasts too), the upper triangle mirrored for exact symmetry."""
+    callable (x, y) -> value, id "custom", its upper triangle mirrored."""
     if isinstance(spec, _kernels.KernelSpec):
         return _kernels.kernel_matrix(spec, xs), spec.identifier
-    n = len(xs)
-    gram = np.array(np.broadcast_to(spec(xs[:, None], xs[None, :]), (n, n)), dtype=float)
-    lower = np.tril_indices(n, -1)
+    gram = _on_pairs(spec, xs, xs)
+    lower = np.tril_indices(xs.size, -1)
     gram[lower] = gram.T[lower]
     return gram, "custom"
 
@@ -435,6 +439,23 @@ def tail(c, n):
     return min(1.0, base + c.truncation_error_bound)
 
 
+def _log_sum_exp(expo):
+    """log sum exp(expo), shifted by the largest entry; -inf if there is none."""
+    peak = float(np.max(expo, initial=-math.inf))
+    if peak == -math.inf:
+        return peak
+    return peak + math.log(float(np.sum(np.exp(expo - peak))))
+
+
+def _moment_sum(c, lam):
+    """sum_k e^{lam k^2} pmf_k over the retained support, or inf if no double."""
+    k2 = np.arange(c.pmf.size) ** 2.0
+    if not lam * k2[-1] <= _LOG_MAX:
+        return math.inf
+    with np.errstate(over="ignore"):
+        return float(np.sum(np.exp(lam * k2) * c.pmf))
+
+
 def exp_moment_sq(c, lam):
     """E exp(lam * count^2) as a plain pmf sum.
 
@@ -448,9 +469,9 @@ def exp_moment_sq(c, lam):
     if lam < 0:
         raise ValueError("need lam >= 0")
     big_n = c.pmf.size - 1
-    if not lam * big_n ** 2.0 <= _LOG_MAX:
+    total = _moment_sum(c, lam)
+    if not math.isfinite(total):
         raise TruncationError(f"exp(lam N^2) overflows a double at lam={lam}, N={big_n}")
-    total = float(np.sum(np.exp(lam * np.arange(c.pmf.size) ** 2.0) * c.pmf))
     trunc = c.truncation_error_bound
     if trunc > 0.0:
         log_guard = lam * big_n * big_n + math.log(trunc)
@@ -464,59 +485,37 @@ def exp_moment_sq(c, lam):
 def exp_moment_sq_bracket(c, lam, tail_log_fn=None):
     """Certified bracket (log_lower, log_upper) for log E exp(lam * count^2).
 
-    log_lower is the log of the plain pmf sum over the retained Bernoulli
-    components; once exp(lam N^2) would overflow it is taken as a
-    max-shifted log-sum-exp, so it stays finite at any lam.
-    The upper side adds two rigorous corrections for the truncated spectral
-    mass T (the count is retained + J with J an independent Poisson-binomial
-    of total mass T over n_truncated components, so the full support is
-    [0, N + n_truncated]):
+    log_lower is log(exp_moment_sq) bit for bit wherever that sum is a double,
+    and a max-shifted log-sum-exp elsewhere, so it is finite at any lam.  The
+    count is retained + J, J a Poisson-binomial of the truncated mass T over
+    n_truncated components, and log_upper adds two rigorous corrections:
 
-    - perturbation/dropped mass inflates the moment by at most
-      exp(T * e^{lam (2N+1)}) while the count stays within the retained range;
-      where e^{lam (2N+1)} is not a double, the bound e^{lam N^2} of
-      exp(lam count^2) on that range serves instead;
+    - on [0, N], exp(lam count^2) <= e^{lam N^2}, and the perturbation
+      inflates the moment by at most exp(T e^{lam (2N+1)}) (inf where that is
+      no double); both bound the same part, so the smaller serves;
     - a count of N + j needs j dropped components to fire:
       P(# >= N + j) <= min(1, T^j/j!, exp(tail_log_fn(N + j))); the last
       entry is the analytic divided-difference chain, the only handle below
       the double-precision spectral noise floor.
     """
     lam = float(lam)
-    k2 = np.arange(c.pmf.size) ** 2.0
-    if lam * k2[-1] <= 700.0:
-        log_low = math.log(float(np.sum(np.exp(lam * k2) * c.pmf)))
-    else:
-        # exp(lam k^2) would overflow: max-shifted log-sum-exp of
-        # lam k^2 + log pmf_k instead
-        pos = c.pmf > 0.0
-        expo = lam * k2[pos] + np.log(c.pmf[pos])
-        peak = float(np.max(expo))
-        log_low = peak + math.log(float(np.sum(np.exp(expo - peak))))
-    big_n = c.pmf.size - 1
-    log_up = log_low
-    t = c.truncation_error_bound
-    if t > 0.0:
-        grow = lam * (2 * big_n + 1)
-        if grow <= _LOG_MAX:
-            log_up += t * math.exp(grow)
-        else:
-            log_up = max(log_low, lam * big_n * big_n)
-    if t > 0.0 and c.n_truncated > 0:
-        log_t = math.log(t)
-        # counts beyond the retained support need j = k - N of the dropped
-        # components to fire, and the support is capped at N + n_truncated
-        terms = []
-        for j in range(1, c.n_truncated + 1):
-            k = big_n + j
-            cap = min(0.0, j * log_t - math.lgamma(j + 1.0))
-            if tail_log_fn is not None:
-                cap = min(cap, tail_log_fn(k))
-            terms.append(lam * k * k + cap)
-        peak = max(terms)
-        if peak > -math.inf:
-            extra = peak + math.log(sum(math.exp(v - peak) for v in terms))
-            log_up = float(np.logaddexp(log_up, extra))
-    return log_low, log_up
+    total = _moment_sum(c, lam)
+    pos = np.flatnonzero(c.pmf)
+    log_low = (math.log(total) if math.isfinite(total)
+               else _log_sum_exp(lam * pos ** 2.0 + np.log(c.pmf[pos])))
+    t, big_n = c.truncation_error_bound, c.pmf.size - 1
+    if t <= 0.0:
+        return log_low, log_low
+    grow = lam * (2 * big_n + 1)
+    shift = t * math.exp(grow) if grow <= _LOG_MAX else math.inf
+    log_up = min(log_low + shift, max(log_low, lam * big_n * big_n))
+    # the support ends at N + n_truncated; log j! is the running sum of log i
+    j = np.arange(1, c.n_truncated + 1)
+    k = big_n + j
+    cap = np.minimum(0.0, j * math.log(t) - np.cumsum(np.log(j)))
+    if tail_log_fn is not None:
+        cap = np.minimum(cap, np.fromiter(map(tail_log_fn, k.tolist()), float, k.size))
+    return log_low, float(np.logaddexp(log_up, _log_sum_exp(lam * k * k + cap)))
 
 
 def generating_function(s, z):

@@ -79,12 +79,6 @@ class PairFunctional:
     norm_1_inf: float
 
 
-def _eval_grid(evaluator, xs, ys):
-    """q on the grid of arrays xs x ys from one call on broadcast coordinates."""
-    vals = evaluator(xs[:, None], ys[None, :])
-    return np.array(np.broadcast_to(vals, (xs.size, ys.size)), dtype=float)
-
-
 def pair_functional(evaluator, support, grid=64):
     """Build a PairFunctional: probe the diagonal, tabulate block norms.
 
@@ -101,7 +95,7 @@ def pair_functional(evaluator, support, grid=64):
     lo, hi = max(x0, y0), min(x1, y1)
     if lo < hi:
         diag = np.linspace(lo, hi, grid)
-        dvals = _eval_grid(evaluator, diag, diag).diagonal()
+        dvals = exact._on_pairs(evaluator, diag, diag).diagonal()
         if np.max(np.abs(dvals)) > 1e-12:
             raise ValueError("q must vanish on the diagonal")
     # blocks [k-1, k+1] x [l-1, l+1] that intersect (even touch) the support;
@@ -123,7 +117,7 @@ def pair_functional(evaluator, support, grid=64):
             continue
         xs = np.linspace(bx0, bx1, grid)
         for run, ys in zip(runs, grids):
-            vals = np.abs(_eval_grid(evaluator, xs, ys)).reshape(grid, len(run), grid)
+            vals = np.abs(exact._on_pairs(evaluator, xs, ys)).reshape(grid, len(run), grid)
             for l, m in zip(run, np.max(vals, axis=(0, 2)).tolist()):
                 if m > 0.0:
                     norms[(k, l)] = m
@@ -211,7 +205,7 @@ def make_pair_functional(spec_dict):
 
 def _pair_table(q, xs):
     """q on xs x xs with the diagonal set to zero."""
-    table = _eval_grid(q.evaluator if isinstance(q, PairFunctional) else q, xs, xs)
+    table = exact._on_pairs(q.evaluator if isinstance(q, PairFunctional) else q, xs, xs)
     np.fill_diagonal(table, 0.0)
     return table
 

@@ -7,7 +7,9 @@ quadrature, the per-point sinc antiderivative and the dict tableau of
 `dpptails.bounds.divided_differences`.  The array routines must
 reproduce them to the last bit.  `airy_global_majorants` is the derivation
 of the two Airy majorant constants that `dpptails.kernels` stores as
-literals.
+literals.  `moment_bracket_upper` is the term-by-term form of the upper
+side of `dpptails.exact.exp_moment_sq_bracket`, whose array form takes
+log j! as a running sum and so agrees to a few ulp, not to the last bit.
 """
 
 import math
@@ -257,3 +259,32 @@ def divided_differences(evaluator, points):
                 d[(j, k)] = (d[(j, k - 1)] - d[(j + 1, k)]) / (pts[j] - pts[k])
         q[i, :] = [d[(0, l)] for l in range(n)]
     return q
+
+
+def moment_bracket_upper(c, lam, log_low, tail_log_fn=None):
+    """Upper side of exact.exp_moment_sq_bracket from its lower side, with
+    the dropped Bernoulli components summed term by term: counts beyond the
+    retained support need j = k - N of them to fire, so each term is
+    lam k^2 + min(0, j log T - lgamma(j + 1), tail_log_fn(k))."""
+    big_n = c.pmf.size - 1
+    t = c.truncation_error_bound
+    if t <= 0.0:
+        return log_low
+    grow = lam * (2 * big_n + 1)
+    shift = t * math.exp(grow) if grow <= specfun._LOG_MAX else math.inf
+    log_up = min(log_low + shift, max(log_low, lam * big_n * big_n))
+    if c.n_truncated == 0:
+        return log_up
+    log_t = math.log(t)
+    terms = []
+    for j in range(1, c.n_truncated + 1):
+        k = big_n + j
+        cap = min(0.0, j * log_t - math.lgamma(j + 1.0))
+        if tail_log_fn is not None:
+            cap = min(cap, tail_log_fn(k))
+        terms.append(lam * k * k + cap)
+    peak = max(terms)
+    if peak == -math.inf:
+        return log_up
+    extra = peak + math.log(sum(math.exp(v - peak) for v in terms))
+    return float(np.logaddexp(log_up, extra))

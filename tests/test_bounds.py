@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import signal
+import sys
 
 import numpy as np
 import pytest
@@ -113,6 +114,14 @@ def test_derivative_bounds_sine_values():
     ml = bounds.derivative_max_bounds(SINE, UNIT, 4)
     assert ml[0].value == pytest.approx(math.e, rel=1e-14)
     assert ml[3].value == pytest.approx(math.e ** 4 * (4.0 / math.pi) ** -3, rel=1e-13)
+
+
+def test_derivative_bound_value_is_finite_wherever_its_exp_is_a_double():
+    # log m_0 is 705.88 here: past 700, but exp of it is 3.6e306, not inf
+    bessel0 = kernels.make_kernel("bessel:s=0")
+    (m0,) = bounds.derivative_max_bounds(bessel0, Interval(0.5, 1400.0), 1)
+    assert 700.0 < m0.log_value < math.log(sys.float_info.max)
+    assert m0.value == math.exp(m0.log_value)
 
 
 def test_derivative_bound_grid_search_oracle():

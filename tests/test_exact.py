@@ -9,9 +9,11 @@ import sys
 import numpy as np
 import pytest
 
-from dpptails import exact, kernels, specfun
+from dpptails import bounds, exact, kernels, specfun
 from dpptails.kernels import Interval
 from dpptails.specfun import gauss_legendre
+
+import scalar_reference as ref
 
 
 SINE = kernels.make_kernel("sine")
@@ -487,6 +489,54 @@ def test_exp_moment_bracket_finite_at_large_lambda(lam):
     # term T e^{lam (2N+1)} has no double, and capping its exponent at 700
     # gave 2.6e289 nats
     assert up <= lam * (c.pmf.size - 1 + c.n_truncated) ** 2
+
+
+def test_exp_moment_bracket_lower_is_log_of_point_value_bit_for_bit():
+    largest = math.log(sys.float_info.max) / 4.0   # lam N^2 = log(DBL_MAX) at N = 2
+    cases = [(exact.count_distribution(exact.Spectrum(np.array(ev), 0.0)),
+              (0.1, 1.0, 100.0, 176.0, largest)) for ev in ([1.0, 1.0], [1.0, 0.5], [0.9, 0.6])]
+    sine = exact.count_distribution(exact.spectrum(exact.discretize(SINE, Interval(0.0, 1.0), 64)))
+    cases.append((sine, (1e-3, 0.01, 0.1)))
+    for c, lams in cases:
+        for lam in lams:
+            lo, _ = exact.exp_moment_sq_bracket(c, lam)
+            assert lo == math.log(exact.exp_moment_sq(c, lam)), lam
+
+
+def test_exp_moment_sum_overflow_raises_and_bracket_stays_finite():
+    # e^{lam N^2} is a double, but the pmf may exceed 1 by 1e-10, so the sum is not
+    c = exact.CountDistribution(np.array([0.0, 1.0 + 5e-11]), 0.0)
+    lam = math.log(sys.float_info.max)
+    with pytest.raises(exact.TruncationError):
+        exact.exp_moment_sq(c, lam)
+    lo, up = exact.exp_moment_sq_bracket(c, lam)
+    assert lo == up == pytest.approx(lam + 5e-11, rel=1e-15)
+
+
+_COMPARE_SYSTEMS = [("sine", (0.0, 1.0)), ("airy", (-1.0, 0.0)), ("bessel:s=0.5", (0.5, 2.0))]
+
+
+@pytest.mark.parametrize("kernel,window", _COMPARE_SYSTEMS)
+def test_exp_moment_bracket_upper_matches_per_term_oracle(kernel, window):
+    # the dropped-component term is summed as arrays, log j! as a running
+    # sum; 118 of these 120 values equal the term-by-term loop bit for bit,
+    # the other two (airy, no chain, lam = 0.2 and 0.3) are 4 and 1 ulp off
+    spec, win = kernels.make_kernel(kernel), Interval(*window)
+    c = exact.count_distribution(exact.spectrum(exact.discretize(spec, win, 200)))
+    assert c.n_truncated > 0 and c.truncation_error_bound > 0.0
+    for tail_fn in (None, bounds.tail_log_bound_function(spec, win)):
+        for lam in np.linspace(0.1, 2.0, 20).tolist():
+            lo, up = exact.exp_moment_sq_bracket(c, lam, tail_fn)
+            want = ref.moment_bracket_upper(c, lam, lo, tail_fn)
+            assert abs(up - want) <= 4 * math.ulp(want), (lam, up, want)
+
+
+def test_exp_moment_bracket_upper_takes_the_smaller_retained_bound():
+    # T e^{lam (2N+1)} is a double here but e^{lam N^2} is far smaller: the
+    # upper side used to add the former and gave 8.9e15 nats
+    c = exact.count_distribution(exact.spectrum(exact.discretize(SINE, Interval(-3.0, 3.0), 192)))
+    lo, up = exact.exp_moment_sq_bracket(c, 2.0)
+    assert lo <= up <= 7e4
 
 
 # ---------------------------------------------------------------------------
