@@ -8,6 +8,7 @@ digits; JSON floats take json.dumps' shortest round-trip form (0.1, not
 """
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -32,12 +33,13 @@ def _fmt(x):
     return str(x)
 
 
-def _atomic_write(path, text):
+def _atomic_write(path, pieces):
+    """Write the text pieces in order to a temp file, then rename it to `path`."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-dpptails-")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -150,12 +152,12 @@ def cmd_bound(args, spec):
         "report": report.to_json_dict(),
     }
     base = args.out
-    _atomic_write(base + ".json", json.dumps(payload, indent=2, default=float) + "\n")
+    _atomic_write(base + ".json", [json.dumps(payload, indent=2, default=float) + "\n"])
     lines = _csv_header_lines(args)
     lines.append("n,log_tail_bound,theorem_form_bound")
     lines += [f"{n},{_fmt(lb)},{_fmt(report.theorem_log_bound(n))}"
               for n, lb in report.per_n_log_bounds]
-    _atomic_write(base + ".csv", "\n".join(lines) + "\n")
+    _atomic_write(base + ".csv", ["\n".join(lines) + "\n"])
     print(f"wrote {base}.json and {base}.csv (B={_fmt(report.b_tail)}, "
           f"sigma={_fmt(report.sigma)})")
     return EXIT_OK
@@ -186,13 +188,13 @@ def cmd_exact(args, spec):
         "exp_moment_sq": moments,
     }
     base = args.out
-    _atomic_write(base + ".json", json.dumps(payload, indent=2, default=float) + "\n")
+    _atomic_write(base + ".json", [json.dumps(payload, indent=2, default=float) + "\n"])
     if args.format == "csv":
         lines = _csv_header_lines(args)
         lines.append("kind,index,value")
         lines += [f"eigenvalue,{k},{_fmt(float(v))}" for k, v in enumerate(s.eigenvalues)]
         lines += [f"pmf,{k},{_fmt(float(v))}" for k, v in enumerate(c.pmf)]
-        _atomic_write(base + ".csv", "\n".join(lines) + "\n")
+        _atomic_write(base + ".csv", ["\n".join(lines) + "\n"])
     print(f"wrote {base}.json (sum of eigenvalues = {_fmt(float(np.sum(s.eigenvalues)))})")
     return EXIT_OK
 
@@ -220,7 +222,7 @@ def cmd_compare(args, spec):
         lines.append(f"moment,{_fmt(lam)},{_fmt(lo_log)},{_fmt(up_log)},"
                      f"{_fmt(moment_bound)},,{int(ok)}")
     base = args.out
-    _atomic_write(base + ".csv", "\n".join(lines) + "\n")
+    _atomic_write(base + ".csv", ["\n".join(lines) + "\n"])
     print(f"wrote {base}.csv (all dominance flags pass: {all_ok})")
     if not all_ok:
         print("dominance failure detected", file=sys.stderr)
@@ -243,17 +245,17 @@ def cmd_sample(args, spec):
     base = args.out
     header = json.dumps({"header": _header_dict(args, {
         "rng": batch.rng_algorithm, "q_norm_1_inf": q.norm_1_inf})}, default=float)
-    _atomic_write(base + ".jsonl", header + "\n" + batch.to_jsonl())
-    _atomic_write(base + "_mc.json", json.dumps({
+    _atomic_write(base + ".jsonl", itertools.chain([header + "\n"], batch.jsonl_pieces()))
+    _atomic_write(base + "_mc.json", [json.dumps({
         "header": _header_dict(args, {"q_norm_1_inf": q.norm_1_inf}),
         "estimate": est, "stderr": stderr,
         "samples": args.samples, "seed": args.seed, "lambda": lam,
-    }, indent=2, default=float) + "\n")
-    _atomic_write(base + "_na.json", json.dumps({
+    }, indent=2, default=float) + "\n"])
+    _atomic_write(base + "_na.json", [json.dumps({
         "header": _header_dict(args, {}),
         "lhs": lhs, "rhs": rhs, "stderr": na_err,
         "negatively_associated": bool(lhs <= rhs + 3 * na_err),
-    }, indent=2, default=float) + "\n")
+    }, indent=2, default=float) + "\n"])
     print(f"wrote {base}.jsonl, {base}_mc.json, {base}_na.json "
           f"(estimate={_fmt(est)}, stderr={_fmt(stderr)})")
     return EXIT_OK

@@ -456,6 +456,14 @@ def _moment_sum(c, lam):
         return float(np.sum(np.exp(lam * k2) * c.pmf))
 
 
+def _moment_lambda(lam):
+    """lam as a float; anything but lam >= 0 (NaN included) is a ValueError."""
+    lam = float(lam)
+    if not lam >= 0.0:
+        raise ValueError(f"need lam >= 0, got {lam}")
+    return lam
+
+
 def exp_moment_sq(c, lam):
     """E exp(lam * count^2) as a plain pmf sum.
 
@@ -465,9 +473,7 @@ def exp_moment_sq(c, lam):
     would overflow.  Use exp_moment_sq_bracket for a certified two-sided
     answer at large lam.
     """
-    lam = float(lam)
-    if lam < 0:
-        raise ValueError("need lam >= 0")
+    lam = _moment_lambda(lam)
     big_n = c.pmf.size - 1
     total = _moment_sum(c, lam)
     if not math.isfinite(total):
@@ -498,7 +504,7 @@ def exp_moment_sq_bracket(c, lam, tail_log_fn=None):
       entry is the analytic divided-difference chain, the only handle below
       the double-precision spectral noise floor.
     """
-    lam = float(lam)
+    lam = _moment_lambda(lam)
     total = _moment_sum(c, lam)
     pos = np.flatnonzero(c.pmf)
     log_low = (math.log(total) if math.isfinite(total)

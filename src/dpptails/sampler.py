@@ -10,9 +10,10 @@ Randomness is counter-based: configuration k reads its own numpy Philox
 stream keyed (seed, k), first n coin doubles and then one pick double per
 step, so batches are reproducible and shard-stable across worker counts.
 Philox4x64-10 is a pure function of (key, counter), so `_philox_doubles`
-evaluates it in uint64 array arithmetic for a whole chunk of keys at once:
-the coins of the live eigenvalues (lambda > 0) only, then the pick doubles
-up to the chunk's largest m, instead of a generator per configuration.
+evaluates it in uint64 array arithmetic for a whole chunk of keys at once,
+instead of a generator per configuration.  One pass per chunk serves both
+stages: the coins of the r live eigenvalues (lambda > 0) and the r pick
+doubles n .. n + r - 1, enough for any m <= r.
 
 The draw runs chunk-wise.  A chunk's coins give each configuration its m;
 the chunk is ordered by m, largest first, and runs its chain-rule steps once
@@ -21,10 +22,11 @@ Each orthonormal vector is kept as r coefficients on the live eigenvector
 rows, so a chunk holds (n + r^2) doubles per configuration.  The running
 diagonal is updated only on the configurations that pick again, by 2-D
 products in the row blocks of `exact._row_blocks`, the one home of the
-BLAS budget.  Each pick is a two-level inverse CDF over blocks of
-ceil(sqrt(n)) nodes (`_inverse_cdf`): a block's end is the last entry of its
-left-to-right cumsum bit for bit, so the search is monotone and lands on a
-node of zero weight only when the target is 0.
+BLAS budget, and clamped at 0 in the same row blocks.  Each pick is a
+two-level inverse CDF over blocks of ceil(sqrt(n)) nodes (`_inverse_cdf`):
+a block's end is the last entry of its left-to-right cumsum bit for bit, so
+the search is monotone and lands on a node of zero weight only when the
+target is 0.
 """
 
 import inspect
@@ -237,31 +239,57 @@ class SampleBatch:
         off = self.offsets.tolist()
         return [points[a:b] for a, b in zip(off, off[1:])]
 
-    def to_jsonl(self):
-        """One JSON list per configuration, each node's text encoded once."""
+    def jsonl_pieces(self):
+        """The `to_jsonl` text in pieces of at most `_JSONL_RUN` configurations.
+
+        Each piece is its lines, each ended by a newline; an empty batch is the
+        one piece "\n".  A node's text is encoded once for the whole batch.
+        """
         text = [json.dumps(x) for x in self.node_rule.nodes.tolist()]
-        cells = [text[i] for i in self.indices.tolist()]
         off = self.offsets.tolist()
-        return "\n".join(f"[{', '.join(cells[a:b])}]" for a, b in zip(off, off[1:])) + "\n"
+        count = len(off) - 1
+        for lo in range(0, max(count, 1), _JSONL_RUN):
+            edge = off[lo:lo + _JSONL_RUN + 1]
+            cells = [text[i] for i in self.indices[edge[0]:edge[-1]].tolist()]
+            yield "\n".join(f"[{', '.join(cells[a - edge[0]:b - edge[0]])}]"
+                             for a, b in zip(edge, edge[1:])) + "\n"
+
+    def to_jsonl(self):
+        """One JSON list per configuration: the join of `jsonl_pieces`."""
+        return "".join(self.jsonl_pieces())
 
 
 _BLOCK = 128        # configurations per block of the S_q gather
+_JSONL_RUN = 1000   # configurations per piece of JSONL text
 _BUDGET = 1 << 17   # doubles per chunk of draws, n + r^2 of them per configuration
 
-# Philox4x64-10 (Salmon et al., SC 2011): round multipliers and key increments
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+# Philox4x64-10 (Salmon et al., SC 2011): round multipliers, each as its
+# (low 32 bits, high 32 bits, whole) numpy scalars, and key increments
+_PHILOX_M = tuple((np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32), np.uint64(m))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_LO32 = 0xFFFFFFFF
+_LO32 = np.uint64(0xFFFFFFFF)
+_HALF_BITS = np.uint64(32)
 _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _mulhilo(m, c):
-    """(high, low) 64-bit words of m * c, the high word from 32-bit products."""
-    c_lo, c_hi = c & _LO32, c >> 32
-    m_lo, m_hi = m & _LO32, m >> 32
-    t = c_hi * m_lo + ((c_lo * m_lo) >> 32)
-    u = c_lo * m_hi + (t & _LO32)
-    return c_hi * m_hi + (t >> 32) + (u >> 32), c * m
+    """(high, low) 64-bit words of m * c, the high word from 32-bit products,
+    summed in place: c_hi m_hi + (t >> 32) + (u >> 32) with
+    t = c_hi m_lo + (c_lo m_lo >> 32) and u = c_lo m_hi + (t & 2^32 - 1)."""
+    m_lo, m_hi, m_all = m
+    c_lo, c_hi = c & _LO32, c >> _HALF_BITS
+    t = c_lo * m_lo
+    t >>= _HALF_BITS
+    t += c_hi * m_lo
+    u = t & _LO32
+    u += c_lo * m_hi
+    u >>= _HALF_BITS
+    t >>= _HALF_BITS
+    c_hi *= m_hi
+    c_hi += t
+    c_hi += u
+    return c_hi, c * m_all
 
 
 def _philox_doubles(seed, configs, positions):
@@ -271,15 +299,16 @@ def _philox_doubles(seed, configs, positions):
     Entry [k, j] equals the positions[j]-th value of
     Generator(Philox(key=(seed, k))).random(): word p of a stream is word p % 4
     of the Philox block at counter p // 4 + 1 (numpy bumps the counter before
-    it fills its buffer), and a double is (word >> 11) * 2^-53.
+    it fills its buffer), and a double is (word >> 11) * 2^-53.  The words are
+    (blocks, configurations) arrays, so each operation runs along the long axis.
     """
-    keys = np.asarray(configs, dtype=np.uint64)[:, None]
+    keys = np.asarray(configs, dtype=np.uint64)
     positions = np.asarray(positions, dtype=np.intp)
     if positions.size == 0:
         return np.empty((keys.size, 0))
     blocks = positions // 4
     first = np.r_[True, blocks[1:] != blocks[:-1]]
-    c0 = (blocks[first] + 1).astype(np.uint64)[None, :]
+    c0 = (blocks[first] + 1).astype(np.uint64)[:, None]
     c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
     k0 = seed & _MASK64
     for rnd in range(10):
@@ -289,8 +318,8 @@ def _philox_doubles(seed, configs, positions):
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ keys, lo0
-    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1).reshape(keys.size, -1)
-    return (words[:, 4 * (np.cumsum(first) - 1) + positions % 4] >> 11) * 2.0 ** -53
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=1).reshape(-1, keys.size)
+    return ((words[4 * (np.cumsum(first) - 1) + positions % 4] >> 11) * 2.0 ** -53).T
 
 
 def _chunk_size(n, r):
@@ -337,9 +366,9 @@ def _draw_range(lams, vectors, seed, start, stop):
     Configuration k reads its own Philox stream keyed (seed, k): the coins of
     the r live eigenvalues (lambda > 0) at their positions among the first n
     doubles, then one pick double per chain-rule step from position n on.
-    For a chunk of `_chunk_size(n, r)` configurations, `_philox_doubles`
-    computes the live coins, then pick doubles n .. n + max(m) - 1 of the
-    configurations with m > 0; each reads its first m.
+    For a chunk of `_chunk_size(n, r)` configurations, one `_philox_doubles`
+    call computes both: the live coins and the pick doubles n .. n + r - 1
+    (m <= r); a configuration reads its first m picks.
 
     The chunk is ordered by m, largest first (stable), so the configurations
     still drawing at step k are a prefix.  With W the (r, n) live eigenvector
@@ -347,7 +376,9 @@ def _draw_range(lams, vectors, seed, start, stop):
     K = W^T diag(s) W starts at s W^2.  Step k picks x with weight d(x), keeps
     e_k = a_k W by its r coefficients
     a_k = (s * W(:, x) - sum_{j<k} e_j(x) a_j) / sqrt(d(x)), e_j(x) = a_j W(:, x),
-    and sets d -= e_k^2 on the configurations that pick again (m > k + 1).
+    and sets d -= e_k^2 on the configurations that pick again (m > k + 1),
+    clamping each updated row block at 0 while it is in cache: rounding can
+    leave a picked node a little below 0, and s W^2 starts at >= 0.
     The pick is `_inverse_cdf` on d, stored in `_block_columns` order.  The
     products s W^2 and a_k W are 2-D, (configurations, r) @ (r, nodes), in
     the row blocks of `exact._row_blocks`, so none exceeds the multiply-add
@@ -362,11 +393,13 @@ def _draw_range(lams, vectors, seed, start, stop):
     w[:, col] = wt.T
     w2 = np.square(w)
     chunk = _chunk_size(n, r)
+    positions = np.r_[live, n:n + r]      # the live coins, then r >= m pick doubles
     sizes = np.empty(stop - start, dtype=np.intp)
     parts = [np.empty(0, dtype=np.intp)]
     for first in range(start, stop, chunk):
         keys = np.arange(first, min(first + chunk, stop), dtype=np.uint64)
-        sel = _philox_doubles(seed, keys, live) < lams[live]
+        doubles = _philox_doubles(seed, keys, positions)
+        sel = doubles[:, :r] < lams[live]
         ms = np.count_nonzero(sel, axis=1)
         sizes[first - start:first - start + keys.size] = ms
         order = np.argsort(-ms, kind="stable")
@@ -375,8 +408,8 @@ def _draw_range(lams, vectors, seed, start, stop):
             continue
         active = keys.size - np.cumsum(np.bincount(ms))   # active[k]: configurations with m > k
         order = order[:active[0]]
-        keys, s = keys[order], sel[order].astype(float)
-        u = _philox_doubles(seed, keys, np.arange(n, n + mmax))
+        s = sel[order].astype(float)
+        u = doubles[order, r:r + mmax]
         d = np.empty((order.size, bs * nb))
         for blk in exact._row_blocks(order.size, r, bs * nb):
             np.matmul(s[blk], w2, out=d[blk])
@@ -385,7 +418,6 @@ def _draw_range(lams, vectors, seed, start, stop):
         rows = np.arange(order.size)
         for k, (a, a1) in enumerate(zip(active[:mmax].tolist(), active[1:].tolist())):
             dk = d[:a]
-            np.maximum(dk, 0.0, out=dk)
             i = _inverse_cdf(dk, u[:a, k], bs)
             picks[:a, k] = i
             wi = wt[i]                    # W(:, x), one row per configuration
@@ -398,7 +430,9 @@ def _draw_range(lams, vectors, seed, start, stop):
             coef[:a, k] = ak
             for blk in exact._row_blocks(a1, r, bs * nb):
                 e = np.matmul(ak[blk], w)
-                d[blk] -= np.square(e, out=e)
+                db = d[blk]
+                db -= np.square(e, out=e)
+                np.maximum(db, 0.0, out=db)
         picks = picks[np.argsort(order)]  # back to configuration order,
         picks.sort(axis=1)                # and nodes increase strictly: point order
         parts.append(picks[picks < n])

@@ -174,6 +174,27 @@ def test_sample_outputs_pinned(tmp_path):
         assert hashlib.sha256(data).hexdigest() == digest, suffix
 
 
+def test_benchmark_shaped_sample_outputs_pinned(tmp_path):
+    # the montecarlo benchmark's job at 2000 samples: six chunks of draws,
+    # so the pin crosses chunk boundaries that the 200-sample pin above never
+    # reaches; the digests come from the draw that ran separate Philox passes
+    # for the coins and the picks
+    qp = _q_spec_file(tmp_path, {"family": "gaussian_bump", "amplitude": 1.0,
+                                 "center": [0.0, 0.0], "width": 1.0,
+                                 "support": [-3.0, 3.0, -3.0, 3.0]})
+    assert run(["sample", "--kernel", "sine", "--window=-3,3", "--order", "128",
+                "--samples", "2000", "--seed", "1", "--lambda", "0.5:0.5:1",
+                "--q-spec", qp, "--out", str(tmp_path / "s")]) == 0
+    pins = {
+        ".jsonl": "17dbd5c52c8a0959b9b57d420c5165d8c457e995a6a0ce63590f330aeca7ccc2",
+        "_mc.json": "5d991c23fdf4a9a6cf8b5348b6d44fce11effa8b36c103836e7d563be851f68c",
+        "_na.json": "d30dadcfa955c458a15a1b12f4c5878b1d21f846d5284b96f31de2431a281cbb",
+    }
+    for suffix, digest in pins.items():
+        data = (tmp_path / ("s" + suffix)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest, suffix
+
+
 def test_sample_solves_once(tmp_path, monkeypatch):
     # the NA probe's hull is the window, so it reuses the batch's eigensystem
     from dpptails import exact

@@ -459,6 +459,16 @@ def test_exp_moment_guard_raises():
         exact.exp_moment_sq(c, 3.0)
 
 
+@pytest.mark.parametrize("moment", [exact.exp_moment_sq, exact.exp_moment_sq_bracket])
+@pytest.mark.parametrize("lam", [-1.0, math.nan])
+def test_exp_moment_refuses_negative_and_nan_lambda(moment, lam):
+    # the bracket's rules hold for lam >= 0 only, and a NaN used to pass the
+    # lam < 0 test and end as an "overflows" TruncationError (or (nan, nan))
+    c = exact.count_distribution(exact.Spectrum(np.array([0.9, 0.5, 1e-13]), 1e-13))
+    with pytest.raises(ValueError, match="lam >= 0"):
+        moment(c, lam)
+
+
 def test_exp_moment_raises_before_overflow_without_warning():
     # a one-point pmf has no truncated mass, so no guard: exp(lam N^2) with
     # lam N^2 past log(DBL_MAX) used to return inf with a RuntimeWarning

@@ -358,13 +358,37 @@ def test_block_draw_shards_far_along_the_stream():
 
 def test_block_draws_with_interior_zero_eigenvalues():
     # the live coins are not a prefix of the stream: zeros sit between them
+    lams, vectors = _interior_zero_system()
+    got = _index_lists(*sampler._draw_range(lams, vectors, 2 ** 63 + 5, 0, 3_000))
+    for k, cfg in enumerate(got):
+        assert cfg == _reference_draw(lams, vectors, 2 ** 63 + 5, k), k
+
+
+def _interior_zero_system():
+    """n = 23 with 7 live eigenvalues among zeros, so the coins are no prefix."""
     n = 23
     vectors, _ = np.linalg.qr(np.random.default_rng(23).standard_normal((n, n)))
     lams = np.zeros(n)
     lams[[0, 2, 3, 7, 12, 13, 20]] = [0.9, 0.8, 0.6, 0.5, 0.35, 0.2, 0.95]
-    got = _index_lists(*sampler._draw_range(lams, vectors, 2 ** 63 + 5, 0, 3_000))
-    for k, cfg in enumerate(got):
-        assert cfg == _reference_draw(lams, vectors, 2 ** 63 + 5, k), k
+    return lams, vectors
+
+
+@pytest.mark.parametrize("system", ["sine", "interior zeros"])
+def test_draws_do_not_depend_on_the_chunk_budget(system, monkeypatch):
+    # the budget sets the chunk boundaries and so the Philox spans computed
+    # at once; at order 128 the chunks hold 2, 341 and 2730 configurations
+    if system == "sine":
+        _, s, vectors = sampler.solve(SINE, Interval(-3.0, 3.0), 128)
+        lams = s.eigenvalues
+    else:
+        lams, vectors = _interior_zero_system()
+    draws = []
+    for budget in (2 ** 10, 2 ** 17, 2 ** 20):
+        monkeypatch.setattr(sampler, "_BUDGET", budget)
+        draws.append(sampler._draw_range(lams, vectors, 3, 5, 3_005))
+    for indices, offsets in draws[1:]:
+        assert np.array_equal(indices, draws[0][0])
+        assert np.array_equal(offsets, draws[0][1])
 
 
 def test_full_rank_draw_memory_is_bounded_by_the_chunk():
@@ -482,6 +506,18 @@ def test_to_jsonl_is_json_dumps_per_configuration():
     assert 0 in lengths and max(lengths) >= 2       # "[]" and ", " are exercised
     empty = sampler.sample(SINE, Interval(0.0, 1.0), 48, 0, seed=13)
     assert empty.to_jsonl() == "\n"
+
+
+@pytest.mark.parametrize("run", [1, 7, 299, 300, 1000])
+def test_jsonl_pieces_are_bounded_runs_of_to_jsonl(run, monkeypatch):
+    batch = sampler.sample(SINE, Interval(0.0, 1.0), 48, 300, seed=13)
+    want = batch.to_jsonl()
+    monkeypatch.setattr(sampler, "_JSONL_RUN", run)
+    pieces = list(batch.jsonl_pieces())
+    assert "".join(pieces) == want
+    assert [p.count("\n") for p in pieces] == [min(run, 300 - lo) for lo in range(0, 300, run)]
+    empty = sampler.sample(SINE, Interval(0.0, 1.0), 48, 0, seed=13)
+    assert list(empty.jsonl_pieces()) == ["\n"]
 
 
 def test_sine_mean_count_three_sigma():
