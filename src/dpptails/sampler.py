@@ -359,6 +359,55 @@ def _inverse_cdf(d, u, bs):
     return b * bs + np.argmax(cum >= target, axis=1)
 
 
+def _chain_rule(s, u, active, wt, w, w2, col, bs):
+    """The chain-rule picks of one chunk as a (configurations, max m) array,
+    n past a configuration's last pick.
+
+    Row j of s is a coin mask and row j of u its pick doubles; the rows are
+    ordered by m, largest first, so the active[k] configurations still drawing
+    at step k are a prefix.  With W = wt^T the (r, n) live eigenvector rows
+    (w: the same in `_block_columns` order, w2 its square), the running
+    diagonal d of K = W^T diag(s) W starts at s W^2.  Step k picks x with
+    weight d(x), keeps e_k = a_k W by its r coefficients
+    a_k = (s * W(:, x) - sum_{j<k} e_j(x) a_j) / sqrt(d(x)), e_j(x) = a_j W(:, x),
+    and sets d -= e_k^2 on the configurations that pick again (m > k + 1),
+    clamping each updated row block at 0 while it is in cache: rounding can
+    leave a picked node a little below 0, and s W^2 starts at >= 0.
+    The pick is `_inverse_cdf` on d.  The products s W^2 and a_k W are 2-D,
+    (configurations, r) @ (r, nodes), in the row blocks of
+    `exact._row_blocks`, so none exceeds the multiply-add budget under which
+    OpenBLAS stays on the calling thread.  The chunk's arrays are freed on
+    return, before the next chunk allocates its own.
+    """
+    n, r = wt.shape
+    size, mmax = u.shape
+    cols = w.shape[1]
+    d = np.empty((size, cols))
+    for blk in exact._row_blocks(size, r, cols):
+        np.matmul(s[blk], w2, out=d[blk])
+    coef = np.empty((size, mmax, r))
+    picks = np.full((size, mmax), n, dtype=np.intp)
+    rows = np.arange(size)
+    for k, (a, a1) in enumerate(zip(active[:mmax].tolist(), active[1:].tolist())):
+        dk = d[:a]
+        i = _inverse_cdf(dk, u[:a, k], bs)
+        picks[:a, k] = i
+        wi = wt[i]                    # W(:, x), one row per configuration
+        ak = s[:a] * wi
+        if k:
+            ck = coef[:a, :k]
+            ex = np.matmul(ck, wi[:, :, None])        # e_j(x) as (a, k, 1)
+            ak -= np.matmul(ex.transpose(0, 2, 1), ck)[:, 0]
+        ak /= np.sqrt(dk[rows[:a], col[i]])[:, None]
+        coef[:a, k] = ak
+        for blk in exact._row_blocks(a1, r, cols):
+            e = np.matmul(ak[blk], w)
+            db = d[blk]
+            db -= np.square(e, out=e)
+            np.maximum(db, 0.0, out=db)
+    return picks
+
+
 def _draw_range(lams, vectors, seed, start, stop):
     """Configurations start..stop-1 as (flat node indices, offsets).
 
@@ -368,21 +417,8 @@ def _draw_range(lams, vectors, seed, start, stop):
     doubles, then one pick double per chain-rule step from position n on.
     For a chunk of `_chunk_size(n, r)` configurations, one `_philox_doubles`
     call computes both: the live coins and the pick doubles n .. n + r - 1
-    (m <= r); a configuration reads its first m picks.
-
-    The chunk is ordered by m, largest first (stable), so the configurations
-    still drawing at step k are a prefix.  With W the (r, n) live eigenvector
-    rows and s a configuration's coin mask, the running diagonal d of
-    K = W^T diag(s) W starts at s W^2.  Step k picks x with weight d(x), keeps
-    e_k = a_k W by its r coefficients
-    a_k = (s * W(:, x) - sum_{j<k} e_j(x) a_j) / sqrt(d(x)), e_j(x) = a_j W(:, x),
-    and sets d -= e_k^2 on the configurations that pick again (m > k + 1),
-    clamping each updated row block at 0 while it is in cache: rounding can
-    leave a picked node a little below 0, and s W^2 starts at >= 0.
-    The pick is `_inverse_cdf` on d, stored in `_block_columns` order.  The
-    products s W^2 and a_k W are 2-D, (configurations, r) @ (r, nodes), in
-    the row blocks of `exact._row_blocks`, so none exceeds the multiply-add
-    budget under which OpenBLAS stays on the calling thread.
+    (m <= r); a configuration reads its first m picks.  The chunk is ordered
+    by m, largest first (stable), for `_chain_rule`.
     """
     n = lams.size
     live = np.flatnonzero(lams > 0.0)     # coins lie in [0, 1): no other column is picked
@@ -408,31 +444,8 @@ def _draw_range(lams, vectors, seed, start, stop):
             continue
         active = keys.size - np.cumsum(np.bincount(ms))   # active[k]: configurations with m > k
         order = order[:active[0]]
-        s = sel[order].astype(float)
-        u = doubles[order, r:r + mmax]
-        d = np.empty((order.size, bs * nb))
-        for blk in exact._row_blocks(order.size, r, bs * nb):
-            np.matmul(s[blk], w2, out=d[blk])
-        coef = np.empty((order.size, mmax, r))
-        picks = np.full((order.size, mmax), n, dtype=np.intp)
-        rows = np.arange(order.size)
-        for k, (a, a1) in enumerate(zip(active[:mmax].tolist(), active[1:].tolist())):
-            dk = d[:a]
-            i = _inverse_cdf(dk, u[:a, k], bs)
-            picks[:a, k] = i
-            wi = wt[i]                    # W(:, x), one row per configuration
-            ak = s[:a] * wi
-            if k:
-                ck = coef[:a, :k]
-                ex = np.matmul(ck, wi[:, :, None])        # e_j(x) as (a, k, 1)
-                ak -= np.matmul(ex.transpose(0, 2, 1), ck)[:, 0]
-            ak /= np.sqrt(dk[rows[:a], col[i]])[:, None]
-            coef[:a, k] = ak
-            for blk in exact._row_blocks(a1, r, bs * nb):
-                e = np.matmul(ak[blk], w)
-                db = d[blk]
-                db -= np.square(e, out=e)
-                np.maximum(db, 0.0, out=db)
+        picks = _chain_rule(sel[order].astype(float), doubles[order, r:r + mmax], active,
+                            wt, w, w2, col, bs)
         picks = picks[np.argsort(order)]  # back to configuration order,
         picks.sort(axis=1)                # and nodes increase strictly: point order
         parts.append(picks[picks < n])
