@@ -359,7 +359,7 @@ def _inverse_cdf(d, u, bs):
     return b * bs + np.argmax(cum >= target, axis=1)
 
 
-def _chain_rule(s, u, active, wt, w, w2, col, bs):
+def _chain_rule(s, u, active, wt, w, w2, col, bs, d, coef):
     """The chain-rule picks of one chunk as a (configurations, max m) array,
     n past a configuration's last pick.
 
@@ -376,16 +376,17 @@ def _chain_rule(s, u, active, wt, w, w2, col, bs):
     The pick is `_inverse_cdf` on d.  The products s W^2 and a_k W are 2-D,
     (configurations, r) @ (r, nodes), in the row blocks of
     `exact._row_blocks`, so none exceeds the multiply-add budget under which
-    OpenBLAS stays on the calling thread.  The chunk's arrays are freed on
-    return, before the next chunk allocates its own.
+    OpenBLAS stays on the calling thread.  d and coef are the draw's buffers
+    of (chunk, nodes) and (chunk, r, r) doubles; the steps use their leading
+    (configurations, nodes) and (configurations, max m, r) parts.
     """
     n, r = wt.shape
     size, mmax = u.shape
     cols = w.shape[1]
-    d = np.empty((size, cols))
+    d = d[:size]
     for blk in exact._row_blocks(size, r, cols):
         np.matmul(s[blk], w2, out=d[blk])
-    coef = np.empty((size, mmax, r))
+    coef = coef[:size, :mmax]
     picks = np.full((size, mmax), n, dtype=np.intp)
     rows = np.arange(size)
     for k, (a, a1) in enumerate(zip(active[:mmax].tolist(), active[1:].tolist())):
@@ -432,6 +433,9 @@ def _draw_range(lams, vectors, seed, start, stop):
     positions = np.r_[live, n:n + r]      # the live coins, then r >= m pick doubles
     sizes = np.empty(stop - start, dtype=np.intp)
     parts = [np.empty(0, dtype=np.intp)]
+    # the chunk's n + r^2 doubles per configuration, allocated once per draw
+    d = np.empty((min(chunk, stop - start), bs * nb))
+    coef = np.empty((min(chunk, stop - start), r, r))
     for first in range(start, stop, chunk):
         keys = np.arange(first, min(first + chunk, stop), dtype=np.uint64)
         doubles = _philox_doubles(seed, keys, positions)
@@ -445,10 +449,11 @@ def _draw_range(lams, vectors, seed, start, stop):
         active = keys.size - np.cumsum(np.bincount(ms))   # active[k]: configurations with m > k
         order = order[:active[0]]
         picks = _chain_rule(sel[order].astype(float), doubles[order, r:r + mmax], active,
-                            wt, w, w2, col, bs)
+                            wt, w, w2, col, bs, d, coef)
         picks = picks[np.argsort(order)]  # back to configuration order,
         picks.sort(axis=1)                # and nodes increase strictly: point order
         parts.append(picks[picks < n])
+    del d, coef                           # no view outlives `_chain_rule`
     return np.concatenate(parts), np.r_[0, np.cumsum(sizes)]
 
 
