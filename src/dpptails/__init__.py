@@ -39,6 +39,7 @@ from .exact import (            # noqa: F401
     pfaffian,
     spectrum,
     tail,
+    tail_bracket,
 )
 from .sampler import (          # noqa: F401
     PairFunctional,

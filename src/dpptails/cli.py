@@ -207,12 +207,11 @@ def cmd_compare(args, spec):
     lines.append("kind,x,exact_or_lower,exact_upper_log,chained_or_bound,theorem_bound,dominates")
     all_ok = True
     for n in range(1, 9):
-        ex = exact.tail(c, n)
-        log_ex = math.log(max(ex, 1e-300))
+        lo_log, up_log = exact.tail_bracket(c, n)
         chained, theorem = tail_fn(n), report.theorem_log_bound(n)
-        ok = log_ex <= chained + 1e-9 and chained <= theorem + 1e-9
+        ok = up_log <= chained + 1e-9 and chained <= theorem + 1e-9
         all_ok &= ok
-        lines.append(f"tail,{n},{_fmt(ex)},{_fmt(log_ex)},"
+        lines.append(f"tail,{n},{_fmt(lo_log)},{_fmt(up_log)},"
                      f"{_fmt(chained)},{_fmt(theorem)},{int(ok)}")
     for lam in args.lam:
         lo_log, up_log = exact.exp_moment_sq_bracket(c, lam, tail_fn)

@@ -5,9 +5,9 @@ certified low-rank eigensolve (diagonal-pivoted Cholesky to a relative
 residual, one subspace-iteration step orthonormalized by two-pass
 Gram-Schmidt, then a deterministic cyclic Jacobi Rayleigh-Ritz solve of the
 r x r projected matrix, with the spectral mass beyond rank r bounded through
-Weyl's inequality), the Bernoulli-sum
-counting distribution (pmf by sequential convolution), the Fredholm
-generating function, a Parlett-Reid Pfaffian, correlation functions, and
+Weyl's inequality), the Bernoulli-sum counting distribution (one log-space
+recursion for the pmf and both sides of every tail), the Fredholm generating
+function, a Parlett-Reid Pfaffian, correlation functions, and
 two analytic cross-checks (Ginibre disk eigenvalues, scaled Legendre
 normalization).
 """
@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels as _kernels
 from . import specfun
-from .specfun import _LOG_MAX, QuadratureRule, gauss_legendre, incomplete_gamma_ratio
+from .specfun import _LOG_MAX, QuadratureRule, _logsumexp, gauss_legendre, incomplete_gamma_ratio
 
 __all__ = [
     "DiscretizedKernel",
@@ -33,6 +33,7 @@ __all__ = [
     "jacobi_eigh",
     "count_distribution",
     "tail",
+    "tail_bracket",
     "exp_moment_sq",
     "exp_moment_sq_bracket",
     "generating_function",
@@ -82,8 +83,10 @@ class Spectrum:
         object.__setattr__(self, "eigenvalues", ev)
         if self.rank is None:
             object.__setattr__(self, "rank", ev.size)
-        if ev.size and (ev.min() < 0.0 or ev.max() > 1.0):
-            raise ValueError("eigenvalues must be clipped to [0, 1]")
+        if ev.size and not (ev.min() >= 0.0 and ev.max() <= 1.0):    # NaN fails too
+            raise ValueError("eigenvalues must be finite and clipped to [0, 1]")
+        if not all(0.0 <= m < math.inf for m in (self.raw_out_of_range, self.truncated_mass)):
+            raise ValueError("raw_out_of_range and truncated_mass must be finite and >= 0")
         if np.any(np.diff(ev) > 0):
             raise ValueError("eigenvalues must be descending")
 
@@ -101,10 +104,14 @@ class CountDistribution:
     pmf: np.ndarray
     truncation_error_bound: float
     n_truncated: int = 0          # dropped Bernoulli components (caps the support)
+    log_pmf: np.ndarray = None    # default log(pmf); count_distribution passes its own
 
     def __post_init__(self):
         p = np.asarray(self.pmf, dtype=float)
         object.__setattr__(self, "pmf", p)
+        if self.log_pmf is None:
+            with np.errstate(divide="ignore"):
+                object.__setattr__(self, "log_pmf", np.log(p))
         if np.any(p < 0):
             raise ValueError("pmf entries must be nonnegative")
         if abs(float(p.sum()) - 1.0) > 1e-10:
@@ -413,38 +420,48 @@ def effective_eigen_floor(s):
     return max(_EIGEN_FLOOR, 8.0 * n * np.finfo(float).eps * max(lam_max, 1e-30))
 
 
+def _log_bernoulli_pmf(log_p, log_q):
+    """log pmf of sum_k Bernoulli(p_k) from (log p_k, log q_k), q_k = 1 - p_k taken
+    as given: log pmf'_k = logaddexp(log pmf_k + log q, log pmf_{k-1} + log p)."""
+    log_pmf = np.r_[0.0, np.full(len(log_p), -math.inf)]
+    for k, (lp, lq) in enumerate(zip(log_p, log_q), 1):
+        log_pmf[1:k + 1] = np.logaddexp(log_pmf[1:k + 1] + lq, log_pmf[:k] + lp)
+        log_pmf[0] += lq
+    return log_pmf
+
+
 def count_distribution(s):
-    """pmf of the particle count: convolution of Bernoulli(lambda_k)."""
+    """Law of the particle count: the Bernoulli(lambda_k) sum over the
+    eigenvalues above `effective_eigen_floor`, with pmf = exp(log_pmf)."""
     floor = effective_eigen_floor(s)
-    lams = [float(v) for v in s.eigenvalues if v > floor]
+    lams = s.eigenvalues[s.eigenvalues > floor]
     small = [float(v) for v in s.eigenvalues if 0.0 < v <= floor]
-    pmf = np.array([1.0])
-    for lam in lams:
-        nxt = np.zeros(pmf.size + 1)
-        nxt[:-1] = pmf * (1.0 - lam)
-        nxt[1:] += pmf * lam
-        pmf = nxt
+    with np.errstate(divide="ignore"):    # log1p(-1) = -inf: a sure point
+        log_pmf = _log_bernoulli_pmf(np.log(lams), np.log1p(-lams))
     # the zeros beyond the solved rank are dropped components as well
     dropped = len(small) + s.eigenvalues.size - s.rank
-    return CountDistribution(
-        pmf, float(sum(small)) + s.raw_out_of_range + s.truncated_mass, dropped)
+    return CountDistribution(np.exp(log_pmf), float(sum(small)) + s.raw_out_of_range
+                             + s.truncated_mass, dropped, log_pmf)
+
+
+def tail_bracket(c, n):
+    """(log lower, log upper) of P(count >= n).  The lower side is the retained
+    law's tail (-inf past its support): dropped components only lower it, and
+    the retained Ritz values lie below the Nystrom eigenvalues (interlacing), so
+    it bounds the Nystrom process, not the continuum, up to the rounding of the
+    r x r solve.  The upper side adds truncation_error_bound, capped at 0."""
+    n = int(n)
+    if n <= 0:
+        return 0.0, 0.0
+    low = min(0.0, _logsumexp(c.log_pmf[n:]))
+    t = c.truncation_error_bound
+    up = float(np.logaddexp(low, math.log(t))) if t > 0.0 else low
+    return low, min(0.0, up)
 
 
 def tail(c, n):
-    """Certified upper value of P(count >= n)."""
-    n = int(n)
-    if n <= 0:
-        return 1.0
-    base = float(np.sum(c.pmf[n:])) if n < c.pmf.size else 0.0
-    return min(1.0, base + c.truncation_error_bound)
-
-
-def _log_sum_exp(expo):
-    """log sum exp(expo), shifted by the largest entry; -inf if there is none."""
-    peak = float(np.max(expo, initial=-math.inf))
-    if peak == -math.inf:
-        return peak
-    return peak + math.log(float(np.sum(np.exp(expo - peak))))
+    """Certified upper value of P(count >= n): the upper side of tail_bracket."""
+    return math.exp(tail_bracket(c, n)[1])
 
 
 def _moment_sum(c, lam):
@@ -457,10 +474,10 @@ def _moment_sum(c, lam):
 
 
 def _moment_lambda(lam):
-    """lam as a float; anything but lam >= 0 (NaN included) is a ValueError."""
+    """lam as a float; anything but a finite lam >= 0 (NaN, inf) is a ValueError."""
     lam = float(lam)
-    if not lam >= 0.0:
-        raise ValueError(f"need lam >= 0, got {lam}")
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"need a finite lam >= 0, got {lam}")
     return lam
 
 
@@ -506,9 +523,8 @@ def exp_moment_sq_bracket(c, lam, tail_log_fn=None):
     """
     lam = _moment_lambda(lam)
     total = _moment_sum(c, lam)
-    pos = np.flatnonzero(c.pmf)
     log_low = (math.log(total) if math.isfinite(total)
-               else _log_sum_exp(lam * pos ** 2.0 + np.log(c.pmf[pos])))
+               else _logsumexp(lam * np.arange(c.pmf.size) ** 2.0 + c.log_pmf))
     t, big_n = c.truncation_error_bound, c.pmf.size - 1
     if t <= 0.0:
         return log_low, log_low
@@ -521,12 +537,14 @@ def exp_moment_sq_bracket(c, lam, tail_log_fn=None):
     cap = np.minimum(0.0, j * math.log(t) - np.cumsum(np.log(j)))
     if tail_log_fn is not None:
         cap = np.minimum(cap, np.fromiter(map(tail_log_fn, k.tolist()), float, k.size))
-    return log_low, float(np.logaddexp(log_up, _log_sum_exp(lam * k * k + cap)))
+    return log_low, float(np.logaddexp(log_up, _logsumexp(lam * k * k + cap)))
 
 
 def generating_function(s, z):
-    """prod_k (1 + (z - 1) lambda_k), the Fredholm-type generating function."""
+    """prod_k (1 + (z - 1) lambda_k) at a finite z, the Fredholm-type generating function."""
     z = float(z)
+    if not math.isfinite(z):
+        raise ValueError(f"need a finite z, got {z}")
     return float(np.prod(1.0 + (z - 1.0) * np.asarray(s.eigenvalues)))
 
 

@@ -661,10 +661,12 @@ def airy_tail_integral(x, tol=1e-12):
 # ---------------------------------------------------------------------------
 
 def _logsumexp(logs):
-    m = max(logs)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(sum(math.exp(v - m) for v in logs))
+    """log sum exp(logs) over an array, shifted by its largest entry; -inf if all are -inf."""
+    logs = np.asarray(logs, dtype=float)
+    peak = float(np.max(logs, initial=-math.inf))
+    if peak == -math.inf:
+        return peak
+    return peak + math.log(float(np.sum(np.exp(logs - peak))))
 
 
 def incomplete_gamma_ratio(k, x):

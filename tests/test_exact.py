@@ -469,6 +469,15 @@ def test_exp_moment_refuses_negative_and_nan_lambda(moment, lam):
         moment(c, lam)
 
 
+@pytest.mark.parametrize("moment", [exact.exp_moment_sq, exact.exp_moment_sq_bracket])
+def test_exp_moment_refuses_infinite_lambda(moment):
+    # the bracket's log-sum-exp fallback used to form inf * 0 = NaN with a
+    # RuntimeWarning
+    c = exact.count_distribution(exact.Spectrum(np.array([0.9, 0.5, 1e-13]), 1e-13))
+    with pytest.raises(ValueError, match="finite lam >= 0"):
+        moment(c, math.inf)
+
+
 def test_exp_moment_raises_before_overflow_without_warning():
     # a one-point pmf has no truncated mass, so no guard: exp(lam N^2) with
     # lam N^2 past log(DBL_MAX) used to return inf with a RuntimeWarning
@@ -550,6 +559,98 @@ def test_exp_moment_bracket_upper_takes_the_smaller_retained_bound():
 
 
 # ---------------------------------------------------------------------------
+# the log-space Bernoulli-sum engine and the two-sided tail
+# ---------------------------------------------------------------------------
+
+def _enumerated_pmf(lams):
+    brute = np.zeros(len(lams) + 1)
+    for bits in itertools.product((0, 1), repeat=len(lams)):
+        brute[sum(bits)] += math.prod(lam if b else 1.0 - lam for b, lam in zip(bits, lams))
+    return brute
+
+
+@pytest.mark.parametrize("eigs,raw,mass", [
+    ([0.9, 0.5, 0.1, 1e-17], 1e-15, 3e-14),
+    ([0.97, 0.6, 0.3, 0.02, 1e-4], 0.0, 2e-9),
+    ([0.8, 0.8, 0.25], 1e-7, 0.0),
+])
+def test_tail_bracket_against_enumeration(eigs, raw, mass):
+    # the lower side is the retained law's tail, the upper side adds the
+    # truncation bound T > 0 and is capped at 1
+    s = exact.Spectrum(np.array(eigs), raw, mass)
+    c = exact.count_distribution(s)
+    assert c.truncation_error_bound > 0.0
+    retained = [v for v in eigs if v > exact.effective_eigen_floor(s)]
+    brute = _enumerated_pmf(retained)
+    for n in range(0, len(eigs) + 3):
+        lo, up = exact.tail_bracket(c, n)
+        low = min(1.0, float(np.sum(brute[n:]))) if n > 0 else 1.0
+        high = min(1.0, low + c.truncation_error_bound) if n > 0 else 1.0
+        assert lo <= up <= 0.0
+        assert math.exp(lo) == pytest.approx(low, rel=1e-14, abs=0.0), n
+        assert math.exp(up) == pytest.approx(high, rel=1e-14, abs=0.0), n
+        assert exact.tail(c, n) == math.exp(up)
+
+
+def test_tail_bracket_deep_tail_below_the_double_range():
+    # 400 components of 0.01: P(# = 400) = 1e-800, which the linear pmf
+    # cannot hold; the log engine gives 400 log(0.01)
+    c = exact.count_distribution(exact.Spectrum(np.full(400, 0.01), 0.0))
+    assert c.pmf[400] == 0.0
+    want = 400.0 * math.log(0.01)
+    assert c.log_pmf[400] == pytest.approx(want, rel=1e-13)
+    lo, up = exact.tail_bracket(c, 400)
+    assert lo == up == pytest.approx(want, rel=1e-13)
+    assert exact.tail_bracket(c, 401) == (-math.inf, -math.inf)
+
+
+def test_count_distribution_sure_points_raise_no_warning():
+    # lambda = 1 gives log1p(-1) = -inf; RuntimeWarnings are errors here
+    c = exact.count_distribution(_spectrum_of([1.0, 1.0, 0.5]))
+    assert c.pmf.tolist() == [0.0, 0.0, 0.5, 0.5]
+    assert c.log_pmf[:2].tolist() == [-math.inf, -math.inf]
+    assert exact.tail_bracket(c, 2) == (0.0, 0.0)
+    assert exact.tail_bracket(c, 4) == (-math.inf, -math.inf)
+
+
+def test_log_bernoulli_pmf_keeps_a_given_complement():
+    # p = 1 - 1e-20 has no double, but (log p, log q) do: P(# = 0) = q
+    lq = math.log(1e-20)
+    log_pmf = exact._log_bernoulli_pmf(np.array([-1e-20]), np.array([lq]))
+    assert log_pmf[0] == lq and log_pmf[1] == -1e-20
+
+
+def test_count_distribution_log_pmf_defaults_to_log_pmf():
+    c = exact.CountDistribution(np.array([0.0, 0.25, 0.75]), 0.0)
+    assert c.log_pmf[0] == -math.inf
+    assert c.log_pmf[1:].tolist() == [math.log(0.25), math.log(0.75)]
+
+
+@pytest.mark.parametrize("kernel,window", _COMPARE_SYSTEMS)
+def test_tail_bracket_ordered_on_compare_systems(kernel, window):
+    spec, win = kernels.make_kernel(kernel), Interval(*window)
+    c = exact.count_distribution(exact.spectrum(exact.discretize(spec, win, 200)))
+    for n in range(0, c.pmf.size + 2):
+        lo, up = exact.tail_bracket(c, n)
+        assert lo <= up <= 0.0, n
+        assert exact.tail(c, n) == math.exp(up)
+
+
+@pytest.mark.parametrize("eigs", [[0.5, math.nan, 0.1], [0.5, math.inf], [-math.inf]])
+def test_spectrum_refuses_non_finite_eigenvalues(eigs):
+    with pytest.raises(ValueError, match="finite"):
+        exact.Spectrum(np.array(eigs), 0.0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-20])
+@pytest.mark.parametrize("field", ["raw_out_of_range", "truncated_mass"])
+def test_spectrum_refuses_bad_mass_fields(field, bad):
+    kwargs = {"raw_out_of_range": 0.0, field: bad}
+    with pytest.raises(ValueError, match=field):
+        exact.Spectrum(np.array([0.5, 0.1]), **kwargs)
+
+
+# ---------------------------------------------------------------------------
 # generating function
 # ---------------------------------------------------------------------------
 
@@ -561,6 +662,12 @@ def test_generating_function_examples():
     for z in (0.3, 0.7, 1.5):
         series = float(np.sum(c.pmf * z ** np.arange(c.pmf.size)))
         assert exact.generating_function(s, z) == pytest.approx(series, abs=1e-10)
+
+
+@pytest.mark.parametrize("z", [math.nan, math.inf, -math.inf])
+def test_generating_function_refuses_non_finite_z(z):
+    with pytest.raises(ValueError, match="finite z"):
+        exact.generating_function(_spectrum_of([0.7, 0.2]), z)
 
 
 def test_generating_function_fredholm_consistency():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from dpptails import kernels
+from dpptails import exact, kernels
 from dpptails import specfun as sf
 
 mpmath = pytest.importorskip("mpmath")
@@ -129,6 +129,20 @@ def test_airy4_22_entry_against_mpmath():
     # absolute, 10x the measured 6.0e-13
     assert all(e <= max(1e-14, 1e-9 * abs(r)) for e, r in zip(err[:60], refs[:60]))
     assert max(err[60:]) <= 6e-12
+
+
+@pytest.mark.parametrize("order", [32, 64])
+@pytest.mark.parametrize("x", [1.0, 4.0, 16.0])
+def test_bessel_hard_edge_gap_probability(x, order):
+    # det(I - K_Bessel) on (0, x) at s = 0 is e^{-x/4} (Edelman 1988;
+    # Forrester 1993), and log P(# = 0) is the engine's log pmf_0.  The
+    # worst case measured is 4.9e-14 (x = 16, order 64).  At x = 40 the
+    # error is 2.4e-12 to 2.9e-12 at both orders, which does not shrink with
+    # order: that points to the Gram entries' accuracy, not the quadrature,
+    # so x = 40 waits for a registered entry accuracy.
+    d = exact.discretize(kernels.make_kernel("bessel:s=0"), kernels.Interval(0.0, x), order)
+    log_gap = exact.count_distribution(exact.spectrum(d)).log_pmf[0]
+    assert abs(log_gap + x / 4.0) <= 1e-13
 
 
 @pytest.mark.parametrize("s", [0.0, 0.5, 2.0])
