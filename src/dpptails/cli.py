@@ -5,17 +5,26 @@ failure.  Every output file starts with a provenance header (kernel id,
 window, order, seed, toolkit version).  CSV floats carry 17 significant
 digits; JSON floats take json.dumps' shortest round-trip form (0.1, not
 0.10000000000000001).  Files are written atomically (temp file + rename).
+
+The process runs on one OpenBLAS thread unless OPENBLAS_NUM_THREADS is set:
+no job gives a second thread work, and an idle one spins after numpy's import
+for about as much CPU as a whole job.  Only the CLI, which owns its process,
+sets this; importing `dpptails` sets nothing.
 """
+
+import os
+
+# before numpy loads OpenBLAS, which reads the thread count once, at load
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np
 
 import argparse
 import itertools
 import json
 import math
-import os
 import sys
 import tempfile
-
-import numpy as np
 
 from . import __version__, bounds, exact, kernels, sampler
 from .bounds import CertificateError
@@ -96,14 +105,14 @@ def _lambda_grid(text):
     return list(np.linspace(start, stop, pts))
 
 
-def _at_least(low):
+def _integer_in(low, high=math.inf):
     def integer(text):
         try:
             value = int(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
-        if value < low:
-            raise argparse.ArgumentTypeError(f"need >= {low}, got {value}")
+        if not low <= value <= high:
+            raise argparse.ArgumentTypeError(f"need {low} <= value <= {high}, got {value}")
         return value
     return integer
 
@@ -276,15 +285,16 @@ def build_parser():
         sp.add_argument("--kernel", required=True,
                         help="kernel id: " + " | ".join(kernels.KERNEL_IDS))
         sp.add_argument("--window", required=True, type=_window, help="a,b")
-        sp.add_argument("--order", type=_at_least(8), default=200)
+        sp.add_argument("--order", type=_integer_in(8), default=200)
         sp.add_argument("--lambda", dest="lam", type=_lambda_grid, default="0.1:2:20",
                         help="start:stop:points")
-        sp.add_argument("--seed", type=int, default=1)
+        # a Philox key is 64 bits, and sample seeds its NA probe with seed + 1
+        sp.add_argument("--seed", type=_integer_in(0, 2 ** 64 - 2), default=1)
         sp.add_argument("--out", type=_out_base, default=out)
     for name in ("bound", "compare"):
-        commands[name].add_argument("--nmax", type=_at_least(8), default=64)
+        commands[name].add_argument("--nmax", type=_integer_in(8), default=64)
     commands["exact"].add_argument("--format", choices=("csv", "json"), default="json")
-    commands["sample"].add_argument("--samples", type=_at_least(2), default=20000)
+    commands["sample"].add_argument("--samples", type=_integer_in(2), default=20000)
     commands["sample"].add_argument("--q-spec", dest="q", type=_q_spec, required=True,
                                     metavar="PATH")
     return p

@@ -465,7 +465,7 @@ def _airy_envelope_amplitude(a, b):
     return 1.02 * float(prof.max())
 
 
-# cached: 30-45 ms a call, and a certify run asks for its one airy4 window twice
+# cached: ~20 ms a call, and a certify run asks for its one airy4 window twice
 @lru_cache(maxsize=64)
 def _airy4_envelope_amplitude(a, b):
     """Desk-scale empirical envelope for the airy4 block entries.

@@ -467,11 +467,14 @@ def solve(spec, window, order):
 def sample(spec, window, order, count, seed, system=None):
     """Draw `count` configurations of the discrete DPP on the GL nodes.
 
-    `system` is the `solve(spec, window, order)` triple when the caller
-    already has it; otherwise it is solved here.
+    `seed` lies in [0, 2^64), the range of a Philox key.  `system` is the
+    `solve(spec, window, order)` triple when the caller already has it;
+    otherwise it is solved here.
     """
     if int(count) < 0:
         raise ValueError(f"count must be >= 0, got {count}")
+    if not 0 <= int(seed) < 2 ** 64:       # _philox_doubles keys by seed mod 2^64
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     if system is None:
         system = solve(spec, window, order)
     d, s, vectors = system

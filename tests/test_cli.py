@@ -106,14 +106,21 @@ def test_bad_window_exit_2(tmp_path):
                 "--out", str(tmp_path / "x")]) == 2
 
 
+def _python(args, env_extra=(), timeout=300):
+    # a fresh interpreter on this source tree, where OPENBLAS_NUM_THREADS is
+    # only what env_extra sets (importing dpptails.cli above set it here)
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(env_extra)
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, *args],
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def _cli_subprocess(argv, env_extra=(), timeout=300):
     # the CLI in a fresh interpreter: environment settings take effect, and
     # a run that never ends fails the test
-    env = dict(os.environ, **dict(env_extra))
-    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "dpptails.cli", *argv],
-                          env=env, capture_output=True, text=True, timeout=timeout)
+    return _python(["-m", "dpptails.cli", *argv], env_extra, timeout)
 
 
 def _compare_csv(tmp_path, name, env_extra):
@@ -125,8 +132,75 @@ def _compare_csv(tmp_path, name, env_extra):
 
 
 def test_compare_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the CLI's own default is one thread, so the second run asks for two
     one = _compare_csv(tmp_path, "one", {"OPENBLAS_NUM_THREADS": "1"})
-    assert one == _compare_csv(tmp_path, "default", {})
+    assert one == _compare_csv(tmp_path, "two", {"OPENBLAS_NUM_THREADS": "2"})
+
+
+# the package's public names: 39 functions and classes by the submodule that
+# defines them, and the five submodules themselves
+PUBLIC_NAMES = {
+    "kernels": ["Factorization", "GrowthEnvelope", "Interval", "KernelSpec", "eval_complex",
+                "eval_matrix", "eval_scalar", "factorization", "growth_envelope",
+                "intensity", "make_kernel"],
+    "bounds": ["BoundReport", "b_constant", "build_bound_report", "c_constant",
+               "det_via_divided_differences", "divided_differences",
+               "exp_moment_log_bound", "tail_log_bound"],
+    "exact": ["CountDistribution", "DiscretizedKernel", "Spectrum", "correlation_function",
+              "count_distribution", "discretize", "exp_moment_sq",
+              "ginibre_disk_eigenvalues", "pfaffian", "spectrum", "tail", "tail_bracket"],
+    "sampler": ["PairFunctional", "SampleBatch", "additive_functional", "gaussian_bump_q",
+                "mc_exp_moment", "negative_association_probe", "norm_1_inf", "sample"],
+    "specfun": [],
+}
+
+# case -> (environment, program run with PUBLIC_NAMES as JSON in sys.argv[1])
+IMPORT_CONTRACT = {
+    "package_loads_no_numpy_and_sets_nothing": ({}, """
+import os, sys
+import dpptails
+assert "numpy" not in sys.modules
+assert "OPENBLAS_NUM_THREADS" not in os.environ
+"""),
+    "cli_sets_one_blas_thread": ({}, """
+import os
+import dpptails.cli
+assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+"""),
+    "cli_keeps_the_users_thread_count": ({"OPENBLAS_NUM_THREADS": "2"}, """
+import os
+import dpptails.cli
+assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+"""),
+    "public_names_resolve_to_the_submodule_objects": ({}, """
+import importlib, json, sys
+import dpptails
+table = json.loads(sys.argv[1])
+names = [*table, *(name for names in table.values() for name in names)]
+got = {name: getattr(dpptails, name) for name in names}
+assert len(got) == 44 and sorted(dpptails.__all__) == sorted(names)
+for module, exported in table.items():
+    sub = importlib.import_module("dpptails." + module)
+    assert got[module] is sub, module
+    assert all(got[name] is getattr(sub, name) for name in exported), module
+"""),
+    "unknown_name_raises_attribute_error": ({}, """
+import dpptails
+try:
+    dpptails.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise SystemExit("no AttributeError")
+"""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(IMPORT_CONTRACT))
+def test_import_contract(case):
+    env_extra, program = IMPORT_CONTRACT[case]
+    proc = _python(["-c", program, json.dumps(PUBLIC_NAMES)], env_extra, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
 
 
 def _q_spec_file(tmp_path, body):
@@ -386,6 +460,25 @@ def test_sample_needs_two_samples_exit_2(tmp_path):
     assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
                 "--samples", "1", "--q-spec", qp, "--out", str(tmp_path / "s")]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json"]
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64 - 1)])
+def test_seed_outside_philox_keys_exit_2(tmp_path, seed):
+    # -1 and 2^64 - 1 would draw one stream under two headers, and the NA
+    # probe's seed + 1 must be a key too
+    qp = _q_spec_file(tmp_path, {"family": "box"})
+    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
+                "--samples", "20", "--seed=" + seed, "--q-spec", qp,
+                "--out", str(tmp_path / "s")]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json"]
+
+
+def test_largest_seed_runs(tmp_path):
+    qp = _q_spec_file(tmp_path, {"family": "box"})
+    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
+                "--samples", "20", "--seed", str(2 ** 64 - 2), "--q-spec", qp,
+                "--out", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s_mc.json").read_text())["seed"] == 2 ** 64 - 2
 
 
 @pytest.mark.parametrize("out", ["missing/s", ""])

@@ -449,6 +449,22 @@ def test_sample_negative_count_raises():
         sampler.sample(SINE, Interval(0.0, 1.0), 32, -1, seed=1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_sample_seed_outside_the_philox_key_raises(seed):
+    # the key is the seed mod 2^64, so -1 would draw the stream of 2^64 - 1
+    with pytest.raises(ValueError, match="seed"):
+        sampler.sample(SINE, Interval(0.0, 1.0), 32, 3, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [2 ** 64 - 1, 2 ** 64 - 2])
+def test_sample_top_seeds_draw_their_own_streams(seed):
+    batch = sampler.sample(SINE, Interval(0.0, 1.0), 32, 20, seed=seed)
+    other = sampler.sample(SINE, Interval(0.0, 1.0), 32, 20, seed=seed - 1)
+    assert batch.seed == seed
+    assert not np.array_equal(batch.indices, other.indices) \
+        or not np.array_equal(batch.offsets, other.offsets)
+
+
 def test_draws_match_padded_eigh_eigensystem():
     # the same index lists as from np.linalg.eigh's eigenpairs, kept to the
     # solved rank the way exact.eigensystem keeps them: eigenvalues padded
