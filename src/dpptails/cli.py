@@ -6,16 +6,24 @@ window, order, seed, toolkit version).  CSV floats carry 17 significant
 digits; JSON floats take json.dumps' shortest round-trip form (0.1, not
 0.10000000000000001).  Files are written atomically (temp file + rename).
 
+`sample` draws one batch of configurations and reads both of its statistics
+from it: the Monte Carlo moment of S_q and the negative-association check on
+the two halves of the window.
+
 The process runs on one OpenBLAS thread unless OPENBLAS_NUM_THREADS is set:
 no job gives a second thread work, and an idle one spins after numpy's import
 for about as much CPU as a whole job.  Only the CLI, which owns its process,
-sets this; importing `dpptails` sets nothing.
+sets this, and only when it is imported before numpy: in a host that loaded
+numpy first the setting could no longer reach that host's OpenBLAS, only its
+child processes.  Importing `dpptails` sets nothing.
 """
 
 import os
+import sys
 
 # before numpy loads OpenBLAS, which reads the thread count once, at load
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -23,7 +31,6 @@ import argparse
 import itertools
 import json
 import math
-import sys
 import tempfile
 
 from . import __version__, bounds, exact, kernels, sampler
@@ -240,16 +247,11 @@ def cmd_compare(args, spec):
 
 def cmd_sample(args, spec):
     q, lam, window = args.q, args.lam[0], args.window
-    # one solve serves both the batch and the NA probe, whose hull is the window
-    system = sampler.solve(spec, window, args.order)
-    batch = sampler.sample(spec, window, args.order, args.samples, args.seed, system)
+    batch = sampler.sample(spec, window, args.order, args.samples, args.seed)
     est, stderr = sampler.mc_exp_moment(batch, q, lam)
     mid = 0.5 * (window.a + window.b)
-    c1 = kernels.Interval(window.a, mid)
-    c2 = kernels.Interval(mid, window.b)
-    lhs, rhs, na_err = sampler.negative_association_probe(
-        spec, c1, c2, cap=3, samples=args.samples, seed=args.seed + 1,
-        order=args.order, system=system)
+    lhs, rhs, na_err = sampler.negative_association(
+        batch, kernels.Interval(window.a, mid), kernels.Interval(mid, window.b), cap=3)
     base = args.out
     header = json.dumps({"header": _header_dict(args, {
         "rng": batch.rng_algorithm, "q_norm_1_inf": q.norm_1_inf})}, default=float)
@@ -288,8 +290,8 @@ def build_parser():
         sp.add_argument("--order", type=_integer_in(8), default=200)
         sp.add_argument("--lambda", dest="lam", type=_lambda_grid, default="0.1:2:20",
                         help="start:stop:points")
-        # a Philox key is 64 bits, and sample seeds its NA probe with seed + 1
-        sp.add_argument("--seed", type=_integer_in(0, 2 ** 64 - 2), default=1)
+        # a Philox key is 64 bits
+        sp.add_argument("--seed", type=_integer_in(0, 2 ** 64 - 1), default=1)
         sp.add_argument("--out", type=_out_base, default=out)
     for name in ("bound", "compare"):
         commands[name].add_argument("--nmax", type=_integer_in(8), default=64)

@@ -27,6 +27,11 @@ two-level inverse CDF over blocks of ceil(sqrt(n)) nodes (`_inverse_cdf`):
 a block's end is the last entry of its left-to-right cumsum bit for bit, so
 the search is monotone and lands on a node of zero weight only when the
 target is 0.
+
+The statistics read a drawn batch: `mc_exp_moment` the moment of S_q and
+`negative_association` the capped counts of two windows inside the batch's
+window, so one draw serves both.  `negative_association_probe` draws its own
+batch on the windows' hull first.
 """
 
 import inspect
@@ -52,6 +57,7 @@ __all__ = [
     "solve",
     "sample",
     "mc_exp_moment",
+    "negative_association",
     "negative_association_probe",
 ]
 
@@ -514,24 +520,31 @@ def mc_exp_moment(batch, q, lam):
     return est, stderr
 
 
-def negative_association_probe(spec, c1, c2, cap, samples, seed, order=512, system=None):
-    """Empirical check of negative association with capped counts.
+def _check_na_windows(window, c1, c2, count):
+    """Raise ValueError unless C1 and C2 are disjoint windows inside `window`
+    and `count` >= 2 configurations give the NA statistic its stderr."""
+    if not (c1.b <= c2.a or c2.b <= c1.a):
+        raise ValueError("windows C1 and C2 must be disjoint")
+    for c in (c1, c2):
+        if not (window.a <= c.a and c.b <= window.b):
+            raise ValueError(f"window [{c.a}, {c.b}] leaves the sampled window "
+                             f"[{window.a}, {window.b}]")
+    if count < 2:
+        raise ValueError(f"the NA probe needs samples >= 2 for its stderr, got {count}")
+
+
+def negative_association(batch, c1, c2, cap):
+    """Empirical check of negative association with capped counts on a batch.
 
     f_i = min(#_{C_i}, cap) are bounded increasing; for a determinantal
     process E[f1 f2] <= E[f1] E[f2].  Returns (lhs, rhs, pooled stderr).
-    The draws come from the hull of C1 and C2; `system` is its `solve`
-    triple when the caller already has it.
+    C1 and C2 are disjoint windows inside the batch's window.
     """
-    if not (c1.b <= c2.a or c2.b <= c1.a):
-        raise ValueError("windows C1 and C2 must be disjoint")
-    if samples < 2:
-        raise ValueError(f"the NA probe needs samples >= 2 for its stderr, got {samples}")
-    hull = kernels.Interval(min(c1.a, c2.a), max(c1.b, c2.b))
-    batch = sample(spec, hull, order, samples, seed, system)
+    n = batch.offsets.size - 1
+    _check_na_windows(batch.node_rule, c1, c2, n)
     cap = float(cap)
     f1 = np.minimum(_window_counts(batch, c1), cap)
     f2 = np.minimum(_window_counts(batch, c2), cap)
-    n = f1.size
     lhs = float(np.mean(f1 * f2))
     m1, m2 = float(np.mean(f1)), float(np.mean(f2))
     rhs = m1 * m2
@@ -540,3 +553,14 @@ def negative_association_probe(spec, c1, c2, cap, samples, seed, order=512, syst
     var2 = float(np.var(f2, ddof=1))
     stderr = math.sqrt((var12 + m2 * m2 * var1 + m1 * m1 * var2) / n)
     return lhs, rhs, stderr
+
+
+def negative_association_probe(spec, c1, c2, cap, samples, seed, order=512, system=None):
+    """`negative_association` on `samples` fresh draws from the hull of C1
+    and C2; `system` is the hull's `solve` triple when the caller already
+    has it.  Bad windows or counts raise before anything is drawn.
+    """
+    hull = kernels.Interval(min(c1.a, c2.a), max(c1.b, c2.b))
+    _check_na_windows(hull, c1, c2, samples)
+    batch = sample(spec, hull, order, samples, seed, system)
+    return negative_association(batch, c1, c2, cap)

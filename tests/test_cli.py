@@ -108,7 +108,7 @@ def test_bad_window_exit_2(tmp_path):
 
 def _python(args, env_extra=(), timeout=300):
     # a fresh interpreter on this source tree, where OPENBLAS_NUM_THREADS is
-    # only what env_extra sets (importing dpptails.cli above set it here)
+    # only what env_extra sets, not a value this process inherited
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(env_extra)
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
@@ -171,6 +171,12 @@ assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 import os
 import dpptails.cli
 assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+"""),
+    "cli_after_numpy_sets_nothing": ({}, """
+import os
+import numpy
+import dpptails.cli
+assert "OPENBLAS_NUM_THREADS" not in os.environ
 """),
     "public_names_resolve_to_the_submodule_objects": ({}, """
 import importlib, json, sys
@@ -241,7 +247,7 @@ def test_sample_outputs_pinned(tmp_path):
     pins = {
         ".jsonl": "aa8804abdd24c2cf06dd998933063f6ffd8e7a165e7486feb3c523329d6b6984",
         "_mc.json": "ec6c18716f97a5388170d1b8bf8b404ba22792c6a3a2fe1a630cd30d33774984",
-        "_na.json": "4fed76aed6ffce6ce58948c94916860e49a659aae8405c80942f5cc91b15b910",
+        "_na.json": "9d905bcec847d02020a8a2510b284a7872c0d814c4696354a254d5632b66b536",
     }
     for suffix, digest in pins.items():
         data = (tmp_path / ("s" + suffix)).read_bytes()
@@ -262,7 +268,7 @@ def test_benchmark_shaped_sample_outputs_pinned(tmp_path):
     pins = {
         ".jsonl": "17dbd5c52c8a0959b9b57d420c5165d8c457e995a6a0ce63590f330aeca7ccc2",
         "_mc.json": "5d991c23fdf4a9a6cf8b5348b6d44fce11effa8b36c103836e7d563be851f68c",
-        "_na.json": "d30dadcfa955c458a15a1b12f4c5878b1d21f846d5284b96f31de2431a281cbb",
+        "_na.json": "f77d634a223a26b9aa0118ac3cb6be4617ceb79182a97e7147bafb1a2c91c5af",
     }
     for suffix, digest in pins.items():
         data = (tmp_path / ("s" + suffix)).read_bytes()
@@ -270,7 +276,7 @@ def test_benchmark_shaped_sample_outputs_pinned(tmp_path):
 
 
 def test_sample_solves_once(tmp_path, monkeypatch):
-    # the NA probe's hull is the window, so it reuses the batch's eigensystem
+    # the NA statistic reads the Monte Carlo batch, so nothing solves again
     from dpptails import exact
     calls = []
     solve = exact.eigensystem
@@ -279,6 +285,36 @@ def test_sample_solves_once(tmp_path, monkeypatch):
     assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
                 "--samples", "50", "--q-spec", qp, "--out", str(tmp_path / "s")]) == 0
     assert len(calls) == 1
+
+
+def test_sample_draws_once(tmp_path, monkeypatch):
+    # the NA statistic reads the Monte Carlo batch instead of drawing its own
+    from dpptails import sampler
+    calls = []
+    draw = sampler._draw_range
+    monkeypatch.setattr(sampler, "_draw_range",
+                        lambda *args: calls.append(args[2:]) or draw(*args))
+    qp = _q_spec_file(tmp_path, {"family": "box", "support": [0, 1, 0, 1]})
+    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
+                "--samples", "50", "--seed", "4", "--q-spec", qp,
+                "--out", str(tmp_path / "s")]) == 0
+    assert calls == [(4, 0, 50)]
+
+
+def test_sample_na_is_the_probe_on_the_seed_stream(tmp_path):
+    # the probe on the window's two halves draws the batch of --seed again, so
+    # the written statistic is its value bit for bit
+    from dpptails import sampler
+    qp = _q_spec_file(tmp_path, {"family": "gaussian_bump", "support": [0, 1, 0, 1]})
+    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "48",
+                "--samples", "200", "--seed", "9", "--lambda", "0.5:0.5:1",
+                "--q-spec", qp, "--out", str(tmp_path / "s")]) == 0
+    na = json.loads((tmp_path / "s_na.json").read_text())
+    spec = kernels.make_kernel("sine")
+    system = sampler.solve(spec, kernels.Interval(0.0, 1.0), 48)
+    probe = sampler.negative_association_probe(
+        spec, kernels.Interval(0.0, 0.5), kernels.Interval(0.5, 1.0), 3, 200, 9, 48, system)
+    assert [float.hex(na[k]) for k in ("lhs", "rhs", "stderr")] == list(map(float.hex, probe))
 
 
 def test_sample_malformed_q_spec_exit_2(tmp_path):
@@ -462,10 +498,10 @@ def test_sample_needs_two_samples_exit_2(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["q.json"]
 
 
-@pytest.mark.parametrize("seed", ["-1", str(2 ** 64 - 1)])
+@pytest.mark.parametrize("seed", ["-1", str(2 ** 64)])
 def test_seed_outside_philox_keys_exit_2(tmp_path, seed):
-    # -1 and 2^64 - 1 would draw one stream under two headers, and the NA
-    # probe's seed + 1 must be a key too
+    # a Philox key is 64 bits: -1 and 2^64 would draw the streams of
+    # 2^64 - 1 and 0 under other headers
     qp = _q_spec_file(tmp_path, {"family": "box"})
     assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
                 "--samples", "20", "--seed=" + seed, "--q-spec", qp,
@@ -475,10 +511,11 @@ def test_seed_outside_philox_keys_exit_2(tmp_path, seed):
 
 def test_largest_seed_runs(tmp_path):
     qp = _q_spec_file(tmp_path, {"family": "box"})
-    assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
-                "--samples", "20", "--seed", str(2 ** 64 - 2), "--q-spec", qp,
-                "--out", str(tmp_path / "s")]) == 0
-    assert json.loads((tmp_path / "s_mc.json").read_text())["seed"] == 2 ** 64 - 2
+    for seed in (2 ** 64 - 2, 2 ** 64 - 1):
+        assert run(["sample", "--kernel", "sine", "--window", "0,1", "--order", "32",
+                    "--samples", "20", "--seed", str(seed), "--q-spec", qp,
+                    "--out", str(tmp_path / "s")]) == 0
+        assert json.loads((tmp_path / "s_mc.json").read_text())["seed"] == seed
 
 
 @pytest.mark.parametrize("out", ["missing/s", ""])

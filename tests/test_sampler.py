@@ -654,6 +654,28 @@ def test_na_disjointness_required():
             SINE, Interval(0.0, 1.0), Interval(0.5, 1.5), cap=3, samples=100, seed=1)
 
 
+def test_negative_association_is_the_probe_on_its_batch():
+    c1, c2 = Interval(-1.0, 0.3), Interval(0.3, 2.0)
+    batch = sampler.sample(SINE, Interval(-1.0, 2.0), 64, 600, seed=24)
+    got = sampler.negative_association(batch, c1, c2, cap=2)
+    want = sampler.negative_association_probe(SINE, c1, c2, cap=2, samples=600, seed=24,
+                                              order=64)
+    assert list(map(float.hex, got)) == list(map(float.hex, want))
+
+
+@pytest.mark.parametrize("c1, c2, count, match", [
+    (Interval(0.0, 0.6), Interval(0.5, 1.0), 50, "disjoint"),
+    (Interval(0.0, 0.5), Interval(0.5, 1.5), 50, "leaves the sampled window"),
+    (Interval(-0.5, 0.5), Interval(0.5, 1.0), 50, "leaves the sampled window"),
+    (Interval(0.0, 0.5), Interval(0.5, 1.0), 1, "samples >= 2"),
+    (Interval(0.0, 0.5), Interval(0.5, 1.0), 0, "samples >= 2"),
+])
+def test_negative_association_refuses(c1, c2, count, match):
+    batch = sampler.sample(SINE, Interval(0.0, 1.0), 32, count, seed=5)
+    with pytest.raises(ValueError, match=match):
+        sampler.negative_association(batch, c1, c2, cap=3)
+
+
 # ---------------------------------------------------------------------------
 # declarative families
 # ---------------------------------------------------------------------------
