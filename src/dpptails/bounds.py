@@ -10,12 +10,12 @@ explicit number with a machine-checkable dominance certificate.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .kernels import growth_envelope, sup_density
-from .specfun import _LOG_MAX
+from .specfun import _LOG_MAX, _moment_lambda
 
 __all__ = [
     "DividedDifferenceTable",
@@ -312,12 +312,12 @@ def laplace_integral_bound(b_tilde, delta, lam):
     the integral is at most (5 t0/4 + 1/(delta log(5/4))) e^{S(t0)}.
     Also returns lambda-independent (c1, c2) with
     log_value <= c1 exp(lam/delta) + c2 for every lam >= 0.  Raises
-    CertificateError when t0 or one of its factors is no finite double.
+    ValueError unless lam is finite and >= 0, and CertificateError when t0
+    or one of its factors is no finite double.
     """
     if delta <= 0:
         raise ValueError("need delta > 0")
-    if lam < 0:
-        raise ValueError("need lam >= 0")
+    lam = _moment_lambda(lam)
     log_kappa = (b_tilde - delta) / delta
     # NaN fails both tests as well
     if not (lam / delta < _LOG_MAX and log_kappa + lam / delta < _LOG_MAX):
@@ -353,9 +353,9 @@ def exp_moment_log_bound(spec, window, lam, n_max=64):
 
     Summation by parts gives E = 1 + int_1^inf lam e^{lam(t-1)} P(#^2 >= t) dt;
     the rewritten tail bound and the Laplace step bound the integral, and the
-    result is log(1 + lam e^{-lam} e^{L(lam)}) evaluated stably.
+    result is log(1 + lam e^{-lam} e^{L(lam)}) evaluated stably, 0 at lam = 0.
     """
-    if float(lam) <= 0:
+    if _moment_lambda(lam) == 0.0:
         return 0.0
     b_tilde, delta = rewrite_b_tilde(b_constant(spec, window, n_max),
                                      growth_envelope(spec, window).order)
@@ -454,10 +454,10 @@ class BoundReport:
     c_moment: float
     d_combine: float
     per_n_log_bounds: list
-    c_single_sigma: float = float("nan")
-    exponent_note: str = field(default=(
+    c_single_sigma: float
+    exponent_note = (   # a class constant: every report rests on the same rewrite
         "the certified rewrite has delta = 1/(4 sigma), hence exponent exp(4 lambda sigma); "
-        "a fit against the single-sigma curve exp(lambda sigma) - 1 is reported alongside"))
+        "a fit against the single-sigma curve exp(lambda sigma) - 1 is reported alongside")
 
     def __post_init__(self):
         vals = [self.sigma, self.b_tail, self.b_tilde, self.delta, self.c1,
@@ -477,9 +477,9 @@ class BoundReport:
         return self.b_tail * n * n - (n * n / (2.0 * self.sigma)) * math.log(n)
 
     def moment_log_bound(self, lam):
-        """Moment bound c (e^{4 sigma lam} - 1) on log E exp(lam * count^2);
-        CertificateError where it overflows a double."""
-        exponent = 4.0 * self.sigma * lam
+        """Moment bound c (e^{4 sigma lam} - 1) on log E exp(lam * count^2) at a
+        finite lam >= 0; CertificateError where it overflows a double."""
+        exponent = 4.0 * self.sigma * _moment_lambda(lam)
         value = self.c_moment * math.expm1(exponent) if exponent <= _LOG_MAX else math.inf
         if value == math.inf:
             raise CertificateError(f"the moment bound overflows a double at lambda={lam}")

@@ -10,6 +10,10 @@ recursion for the pmf and both sides of every tail), the Fredholm generating
 function, a Parlett-Reid Pfaffian, correlation functions, and
 two analytic cross-checks (Ginibre disk eigenvalues, scaled Legendre
 normalization).
+
+A DiscretizedKernel is the GL rule and the Nystrom matrix, nothing more: the
+window is the rule's [a, b].  The moments of exp(lam count^2) take a finite
+lam >= 0 only, by the rule `bounds` shares (`specfun._moment_lambda`).
 """
 
 import math
@@ -57,8 +61,6 @@ class TruncationError(RuntimeError):
 class DiscretizedKernel:
     rule: QuadratureRule
     matrix: np.ndarray
-    kernel_id: str
-    window: tuple
 
     @property
     def trace(self):
@@ -135,14 +137,14 @@ def _on_pairs(f, xs, ys):
 
 
 def _kernel_gram(spec, xs):
-    """(Gram matrix at the nodes xs, kernel id) of a KernelSpec or of a plain
-    callable (x, y) -> value, id "custom", its upper triangle mirrored."""
+    """Gram matrix at the nodes xs of a KernelSpec or of a plain callable
+    (x, y) -> value, the callable's upper triangle mirrored."""
     if isinstance(spec, _kernels.KernelSpec):
-        return _kernels.kernel_matrix(spec, xs), spec.identifier
+        return _kernels.kernel_matrix(spec, xs)
     gram = _on_pairs(spec, xs, xs)
     lower = np.tril_indices(xs.size, -1)
     gram[lower] = gram.T[lower]
-    return gram, "custom"
+    return gram
 
 
 def discretize(spec, window, order):
@@ -151,11 +153,11 @@ def discretize(spec, window, order):
     if order < 8:
         raise ValueError("need order >= 8")
     rule = gauss_legendre(order, window.a, window.b)
-    gram, ident = _kernel_gram(spec, rule.nodes)
+    gram = _kernel_gram(spec, rule.nodes)
     sw = np.sqrt(rule.weights)
     mat = sw[:, None] * gram * sw[None, :]
     mat = 0.5 * (mat + mat.T)
-    return DiscretizedKernel(rule, mat, ident, (float(window.a), float(window.b)))
+    return DiscretizedKernel(rule, mat)
 
 
 # ---------------------------------------------------------------------------
@@ -473,14 +475,6 @@ def _moment_sum(c, lam):
         return float(np.sum(np.exp(lam * k2) * c.pmf))
 
 
-def _moment_lambda(lam):
-    """lam as a float; anything but a finite lam >= 0 (NaN, inf) is a ValueError."""
-    lam = float(lam)
-    if not 0.0 <= lam < math.inf:
-        raise ValueError(f"need a finite lam >= 0, got {lam}")
-    return lam
-
-
 def exp_moment_sq(c, lam):
     """E exp(lam * count^2) as a plain pmf sum.
 
@@ -490,7 +484,7 @@ def exp_moment_sq(c, lam):
     would overflow.  Use exp_moment_sq_bracket for a certified two-sided
     answer at large lam.
     """
-    lam = _moment_lambda(lam)
+    lam = specfun._moment_lambda(lam)
     big_n = c.pmf.size - 1
     total = _moment_sum(c, lam)
     if not math.isfinite(total):
@@ -521,7 +515,7 @@ def exp_moment_sq_bracket(c, lam, tail_log_fn=None):
       entry is the analytic divided-difference chain, the only handle below
       the double-precision spectral noise floor.
     """
-    lam = _moment_lambda(lam)
+    lam = specfun._moment_lambda(lam)
     total = _moment_sum(c, lam)
     log_low = (math.log(total) if math.isfinite(total)
                else _logsumexp(lam * np.arange(c.pmf.size) ** 2.0 + c.log_pmf))
@@ -604,7 +598,7 @@ def correlation_function(spec, points):
         big = blocks.transpose(0, 2, 1, 3).reshape(2 * n, 2 * n)
         big = 0.5 * (big - big.T)
         return pfaffian(big)
-    return float(np.linalg.det(_kernel_gram(spec, p)[0]))
+    return float(np.linalg.det(_kernel_gram(spec, p)))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,10 @@ target is 0.
 
 The statistics read a drawn batch: `mc_exp_moment` the moment of S_q and
 `negative_association` the capped counts of two windows inside the batch's
-window, so one draw serves both.  `negative_association_probe` draws its own
-batch on the windows' hull first.
+window, so one draw serves both.  `sample` solves the system it draws from,
+once per call, and `negative_association_probe` samples the windows' hull.
+A batch keeps only what the statistics and the JSONL read: the seed, the
+node rule, and the drawn node indices with their offsets.
 """
 
 import inspect
@@ -60,9 +62,6 @@ __all__ = [
     "negative_association",
     "negative_association_probe",
 ]
-
-RNG_ALGORITHM = "philox4x64-10 key=(seed, configuration_index)"
-
 
 class OverflowGuardError(RuntimeError):
     """lambda * max |S_q| too large: exp moments would overflow."""
@@ -138,29 +137,30 @@ def norm_1_inf(evaluator, support, grid=64):
     return pair_functional(evaluator, support, grid).norm_1_inf
 
 
+def _masked_q(values, support):
+    """The PairFunctional of values(x, y) inside the closed support box and
+    off the diagonal, 0 elsewhere; x and y reach `values` as float arrays."""
+    x0, x1, y0, y1 = support
+
+    def ev(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        inside = (x >= x0) & (x <= x1) & (y >= y0) & (y <= y1)
+        return np.where(inside & (x != y), values(x, y), 0.0)
+
+    return pair_functional(ev, support)
+
+
 def gaussian_bump_q(amplitude=1.0, center=(0.0, 0.0), width=1.0,
                     support=(-3.0, 3.0, -3.0, 3.0)):
     cx, cy = center
-
-    def ev(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        v = amplitude * np.exp(-(((x - cx) ** 2) + ((y - cy) ** 2)) / (width * width))
-        v = np.where(x == y, 0.0, v)
-        inside = (x >= support[0]) & (x <= support[1]) & (y >= support[2]) & (y <= support[3])
-        return np.where(inside, v, 0.0)
-
-    return pair_functional(ev, support)
+    return _masked_q(
+        lambda x, y: amplitude * np.exp(-(((x - cx) ** 2) + ((y - cy) ** 2)) / (width * width)),
+        support)
 
 
 def box_q(amplitude=1.0, support=(0.0, 1.0, 0.0, 1.0)):
-    def ev(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inside = (x >= support[0]) & (x <= support[1]) & (y >= support[2]) & (y <= support[3])
-        return np.where(inside & (x != y), float(amplitude), 0.0)
-
-    return pair_functional(ev, support)
+    return _masked_q(lambda x, y: float(amplitude), support)
 
 
 def custom_grid_q(x, y, values):
@@ -175,19 +175,15 @@ def custom_grid_q(x, y, values):
     if vals.shape != (xg.size, yg.size):
         raise ValueError("values must have shape (len(x), len(y))")
 
-    def ev(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+    def bilinear(x, y):
         ix = np.clip(np.searchsorted(xg, x) - 1, 0, xg.size - 2)
         iy = np.clip(np.searchsorted(yg, y) - 1, 0, yg.size - 2)
         tx = (x - xg[ix]) / (xg[ix + 1] - xg[ix])
         ty = (y - yg[iy]) / (yg[iy + 1] - yg[iy])
-        v = (vals[ix, iy] * (1 - tx) * (1 - ty) + vals[ix + 1, iy] * tx * (1 - ty)
-             + vals[ix, iy + 1] * (1 - tx) * ty + vals[ix + 1, iy + 1] * tx * ty)
-        inside = (x >= xg[0]) & (x <= xg[-1]) & (y >= yg[0]) & (y <= yg[-1])
-        return np.where(inside & (x != y), v, 0.0)
+        return (vals[ix, iy] * (1 - tx) * (1 - ty) + vals[ix + 1, iy] * tx * (1 - ty)
+                + vals[ix, iy + 1] * (1 - tx) * ty + vals[ix + 1, iy + 1] * tx * ty)
 
-    return pair_functional(ev, (xg[0], xg[-1], yg[0], yg[-1]))
+    return _masked_q(bilinear, (xg[0], xg[-1], yg[0], yg[-1]))
 
 
 _Q_FAMILIES = {"gaussian_bump": gaussian_bump_q, "box": box_q, "custom_grid": custom_grid_q}
@@ -235,8 +231,8 @@ class SampleBatch:
     node_rule: object
     indices: np.ndarray
     offsets: np.ndarray
-    spectrum: object
-    rng_algorithm: str = RNG_ALGORITHM
+    # a class constant, not a field: every batch is drawn by this one scheme
+    rng_algorithm = "philox4x64-10 key=(seed, configuration_index)"
 
     @property
     def configurations(self):
@@ -470,25 +466,17 @@ def solve(spec, window, order):
     return (d, *exact.eigensystem(d))
 
 
-def sample(spec, window, order, count, seed, system=None):
-    """Draw `count` configurations of the discrete DPP on the GL nodes.
-
-    `seed` lies in [0, 2^64), the range of a Philox key.  `system` is the
-    `solve(spec, window, order)` triple when the caller already has it;
-    otherwise it is solved here.
-    """
+def sample(spec, window, order, count, seed):
+    """Draw `count` configurations of the discrete DPP on the GL nodes of
+    `solve(spec, window, order)`; `seed` lies in [0, 2^64), the range of a
+    Philox key."""
     if int(count) < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if not 0 <= int(seed) < 2 ** 64:       # _philox_doubles keys by seed mod 2^64
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    if system is None:
-        system = solve(spec, window, order)
-    d, s, vectors = system
-    if d.window != (float(window.a), float(window.b)) or d.matrix.shape[0] != int(order):
-        raise ValueError(f"the system was solved on {d.window} at order "
-                         f"{d.matrix.shape[0]}, not on the requested window and order")
+    d, s, vectors = solve(spec, window, order)
     indices, offsets = _draw_range(s.eigenvalues, vectors, int(seed), 0, int(count))
-    return SampleBatch(int(seed), d.rule, indices, offsets, s)
+    return SampleBatch(int(seed), d.rule, indices, offsets)
 
 
 def _window_counts(batch, window):
@@ -499,8 +487,12 @@ def _window_counts(batch, window):
 
 
 def mc_exp_moment(batch, q, lam):
-    """(mean, stderr) of exp(lam * S_q) over the batch configurations."""
+    """(mean, stderr) of exp(lam * S_q) over the batch configurations at a
+    finite lam; a negative lam is fine, as E exp(lam S_q) is finite at every
+    real lam."""
     lam = float(lam)
+    if not math.isfinite(lam):
+        raise ValueError(f"need a finite lam, got {lam}")
     table = _pair_table(q, batch.node_rule.nodes)
     sizes = np.diff(batch.offsets)
     svals = np.zeros(sizes.size)
@@ -555,12 +547,11 @@ def negative_association(batch, c1, c2, cap):
     return lhs, rhs, stderr
 
 
-def negative_association_probe(spec, c1, c2, cap, samples, seed, order=512, system=None):
+def negative_association_probe(spec, c1, c2, cap, samples, seed, order=512):
     """`negative_association` on `samples` fresh draws from the hull of C1
-    and C2; `system` is the hull's `solve` triple when the caller already
-    has it.  Bad windows or counts raise before anything is drawn.
+    and C2.  Bad windows or counts raise before anything is solved or drawn.
     """
     hull = kernels.Interval(min(c1.a, c2.a), max(c1.b, c2.b))
     _check_na_windows(hull, c1, c2, samples)
-    batch = sample(spec, hull, order, samples, seed, system)
+    batch = sample(spec, hull, order, samples, seed)
     return negative_association(batch, c1, c2, cap)

@@ -156,6 +156,15 @@ def _check_range(x, name, low=None, high=None):
         raise DomainError(f"{name} working range is [{low}, {high}], got {x[bad][0]}")
 
 
+def _moment_lambda(lam):
+    """lam as a float for a moment of exp(lam count^2); anything but a finite
+    lam >= 0 (NaN, inf) is a ValueError."""
+    lam = float(lam)
+    if not 0.0 <= lam < math.inf:
+        raise ValueError(f"need a finite lam >= 0, got {lam}")
+    return lam
+
+
 # ---------------------------------------------------------------------------
 # sinc family:  S(t) = sin(pi t) / (pi t),  DS = S',  IS(t) = int_0^t S
 # ---------------------------------------------------------------------------

@@ -309,6 +309,20 @@ def test_moment_log_bound_is_never_inf():
             rep.moment_log_bound(lam)
 
 
+def test_moment_bounds_take_a_finite_nonnegative_lambda_only():
+    # at lam = -1 the report's bound was -3.7e9 on sine [0, 1], below
+    # log P(N = 0) = -1.77; NaN reached the overflow error or the chain
+    rep = bounds.build_bound_report(SINE, UNIT)
+    entries = (rep.moment_log_bound,
+               lambda lam: bounds.exp_moment_log_bound(SINE, UNIT, lam),
+               lambda lam: bounds.laplace_integral_bound(0.5, 1.0, lam))
+    for entry in entries:
+        for lam in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite lam >= 0"):
+                entry(lam)
+    assert rep.moment_log_bound(0.0) == bounds.exp_moment_log_bound(SINE, UNIT, 0.0) == 0.0
+
+
 def test_laplace_stationary_identity():
     # S(t0) = delta * t0 on a lambda grid
     for b_tilde, delta in ((0.7, 0.5), (1.0, 1.0), (2.0, 0.25)):

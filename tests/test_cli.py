@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -209,6 +210,23 @@ def test_import_contract(case):
     assert proc.returncode == 0, proc.stderr[-2000:]
 
 
+def test_records_hold_only_the_fields_their_readers_use():
+    # only state a caller sets and a reader reads is a field; the RNG name
+    # and the exponent note are class constants
+    from dpptails import bounds, exact, sampler
+    records = {
+        sampler.SampleBatch: ["seed", "node_rule", "indices", "offsets"],
+        exact.DiscretizedKernel: ["rule", "matrix"],
+        bounds.BoundReport: ["kernel", "window", "sigma", "b_tail", "b_tilde", "delta", "c1",
+                             "c2", "c_moment", "d_combine", "per_n_log_bounds",
+                             "c_single_sigma"],
+    }
+    for record, fields in records.items():
+        assert [f.name for f in dataclasses.fields(record)] == fields, record.__name__
+    assert sampler.SampleBatch.rng_algorithm.startswith("philox4x64-10")
+    assert bounds.BoundReport.exponent_note.startswith("the certified rewrite")
+
+
 def _q_spec_file(tmp_path, body):
     p = tmp_path / "q.json"
     p.write_text(json.dumps(body))
@@ -310,10 +328,9 @@ def test_sample_na_is_the_probe_on_the_seed_stream(tmp_path):
                 "--samples", "200", "--seed", "9", "--lambda", "0.5:0.5:1",
                 "--q-spec", qp, "--out", str(tmp_path / "s")]) == 0
     na = json.loads((tmp_path / "s_na.json").read_text())
-    spec = kernels.make_kernel("sine")
-    system = sampler.solve(spec, kernels.Interval(0.0, 1.0), 48)
     probe = sampler.negative_association_probe(
-        spec, kernels.Interval(0.0, 0.5), kernels.Interval(0.5, 1.0), 3, 200, 9, 48, system)
+        kernels.make_kernel("sine"), kernels.Interval(0.0, 0.5), kernels.Interval(0.5, 1.0),
+        3, 200, 9, 48)
     assert [float.hex(na[k]) for k in ("lhs", "rhs", "stderr")] == list(map(float.hex, probe))
 
 

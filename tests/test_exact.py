@@ -242,7 +242,7 @@ def test_eigensolve_is_low_rank(monkeypatch):
 
 
 def _bare(matrix):
-    return exact.DiscretizedKernel(None, np.asarray(matrix, dtype=float), "custom", (0.0, 1.0))
+    return exact.DiscretizedKernel(None, np.asarray(matrix, dtype=float))
 
 
 def _hidden_negative_pair():

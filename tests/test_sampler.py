@@ -483,26 +483,6 @@ def test_draws_match_padded_eigh_eigensystem():
         assert a == b, i
 
 
-def test_sample_reuses_a_given_system(monkeypatch):
-    win = Interval(0.0, 1.0)
-    system = sampler.solve(SINE, win, 48)
-    plain = sampler.sample(SINE, win, 48, 100, seed=3)
-    monkeypatch.setattr(exact, "eigensystem", None)   # a second solve would fail
-    assert sampler.sample(SINE, win, 48, 100, seed=3, system=system).to_jsonl() \
-        == plain.to_jsonl()
-    for window, order in ((Interval(0.0, 2.0), 48), (win, 64)):
-        with pytest.raises(ValueError):
-            sampler.sample(SINE, window, order, 10, seed=3, system=system)
-
-
-def test_na_probe_with_a_given_system_matches_its_own_solve():
-    c1, c2 = Interval(0.0, 0.4), Interval(0.4, 1.0)
-    system = sampler.solve(SINE, Interval(0.0, 1.0), 48)
-    args = (SINE, c1, c2, 2, 300, 8)
-    assert (sampler.negative_association_probe(*args, order=48, system=system)
-            == sampler.negative_association_probe(*args, order=48))
-
-
 def test_batch_layout_matches_configurations():
     batch = sampler.sample(SINE, Interval(-1.0, 2.0), 64, 300, seed=13)
     assert batch.offsets[0] == 0 and batch.offsets[-1] == batch.indices.size
@@ -598,6 +578,21 @@ def test_mc_overflow_guard():
     q = sampler.box_q(1000.0, (0.0, 1.0, 0.0, 1.0))
     with pytest.raises(sampler.OverflowGuardError):
         sampler.mc_exp_moment(batch, q, 10.0)
+
+
+def test_mc_refuses_a_non_finite_lambda():
+    # NaN slipped past the overflow guard and inf times S_q = 0 gave NaN;
+    # a negative lambda stays: E exp(lam S_q) is finite at every real lam
+    batch = sampler.sample(SINE, Interval(0.0, 1.0), 64, 200, seed=5)
+    box = sampler.box_q(1.0, (0.0, 1.0, 0.0, 1.0))
+    zero = sampler.pair_functional(
+        lambda x, y: np.zeros_like(np.asarray(x, dtype=float)), (0.0, 1.0, 0.0, 1.0))
+    for q in (box, zero):
+        for lam in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite lam"):
+                sampler.mc_exp_moment(batch, q, lam)
+    est, _ = sampler.mc_exp_moment(batch, box, -1.0)
+    assert 0.0 < est < 1.0
 
 
 # ---------------------------------------------------------------------------
