@@ -420,10 +420,11 @@ def combination_d(psi_at_1, psi_prime_at_0):
     min(e^{Psi}, 1 + lam e^{Psi}) <= e^{d (Psi - 1)} for increasing convex
     Psi with Psi(0) = 1, via d >= Psi(1)/(Psi(1)-1) and d >= e^{Psi(1)}/Psi'(0);
     CertificateError where d overflows a double."""
-    if psi_at_1 <= 1.0:
-        raise ValueError("need Psi(1) > 1")
-    if psi_prime_at_0 <= 0.0:
-        raise ValueError("need Psi'(0) > 0")
+    # NaN fails every comparison, so it passes neither test
+    if not psi_at_1 > 1.0:
+        raise ValueError(f"need Psi(1) > 1, got {psi_at_1}")
+    if not psi_prime_at_0 > 0.0:
+        raise ValueError(f"need Psi'(0) > 0, got {psi_prime_at_0}")
     grow = math.exp(psi_at_1) / psi_prime_at_0 if psi_at_1 <= _LOG_MAX else math.inf
     if grow == math.inf:
         raise CertificateError(f"d overflows a double at Psi(1) = {psi_at_1}")
@@ -431,9 +432,10 @@ def combination_d(psi_at_1, psi_prime_at_0):
 
 
 def poisson_exp_moment(theta, lam):
-    """log E exp(lam * Poisson(theta)) = theta (e^lam - 1)."""
-    if theta <= 0:
-        raise ValueError("need theta > 0")
+    """log E exp(lam * Poisson(theta)) = theta (e^lam - 1), for a finite
+    theta > 0 and a finite lam; anything else (NaN, inf) is a ValueError."""
+    if not (0.0 < theta < math.inf and math.isfinite(lam)):
+        raise ValueError(f"need a finite theta > 0 and a finite lam, got {theta}, {lam}")
     return theta * math.expm1(lam)
 
 

@@ -155,8 +155,10 @@ def discretize(spec, window, order):
     rule = gauss_legendre(order, window.a, window.b)
     gram = _kernel_gram(spec, rule.nodes)
     sw = np.sqrt(rule.weights)
-    mat = sw[:, None] * gram * sw[None, :]
-    mat = 0.5 * (mat + mat.T)
+    gram *= sw[:, None]
+    gram *= sw[None, :]
+    mat = np.add(gram, gram.T)
+    mat *= 0.5
     return DiscretizedKernel(rule, mat)
 
 

@@ -25,6 +25,7 @@ from .specfun import (
     _dd_add,
     _dd_div_d,
     _dd_mul,
+    _sinc_core,
     sinc,
     sinc_antiderivative,
     sinc_derivative,
@@ -127,15 +128,17 @@ def _near_diagonal(x, y):
     return np.abs(x - y) < _DIAG_BAND * (1.0 + np.abs(x))
 
 
-def _ratio_kernel(x, y, series, ratio, diag):
+def _ratio_kernel(x, y, series, terms, diag):
     """(kernel, fx): the ratio-form kernel at the pairs of x and y, which
     broadcast, and the series outputs at the points of x, shaped like x.
 
     series(points) returns one array per entire function of the kernel;
-    ratio(x, fx, y, fy) is the divided difference and diag(m, fm) its limit,
-    taken at the midpoint m of each band pair.  One series pass covers the
-    points of x, of y and the band midpoints, so a Gram matrix costs 2n
-    series points, not n^2.  Each value is bit-identical to its pair alone.
+    terms(x, fx, y, fy) gives the two products whose difference over x - y
+    is the divided difference, and diag(m, fm) its limit, taken at the
+    midpoint m of each band pair.  One series pass covers the points of x,
+    of y and the band midpoints, so a Gram matrix costs 2n series points,
+    not n^2; the difference and the quotient are formed in place, so it
+    holds two n^2 arrays.  Each value is bit-identical to its pair alone.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -147,7 +150,9 @@ def _ratio_kernel(x, y, series, ratio, diag):
     fx = [v[:nx].reshape(x.shape) for v in f]
     fy = [v[nx:nxy].reshape(y.shape) for v in f]
     with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.asarray(ratio(x, fx, y, fy))
+        out, scratch = (np.asarray(v, dtype=float) for v in terms(x, fx, y, fy))
+        out -= scratch
+        out /= np.subtract(x, y, out=scratch)
     out[band] = diag(mid, [v[nxy:] for v in f])
     return out, fx
 
@@ -206,7 +211,7 @@ def _bessel_reduced(s, x, y):
     g = (x/4) psi, at the broadcast pairs of x and y."""
     return _ratio_kernel(
         x, y, lambda p: specfun._series_values(p, lambda v: _bessel_series(s, v)),
-        lambda x, fx, y, fy: ((x / 4.0) * fx[1] * fy[0] - (y / 4.0) * fy[1] * fx[0]) / (x - y),
+        lambda x, fx, y, fy: ((x / 4.0) * fx[1] * fy[0], (y / 4.0) * fy[1] * fx[0]),
         _bessel_reduced_diag)[0]
 
 
@@ -219,8 +224,8 @@ def _bessel_rho(s, x):
 # Airy kernel pieces
 # ---------------------------------------------------------------------------
 
-def _airy_ratio(x, fx, y, fy):
-    return (fx[0] * fy[1] - fy[0] * fx[1]) / (x - y)
+def _airy_terms(x, fx, y, fy):
+    return fx[0] * fy[1], fy[0] * fx[1]
 
 
 def _airy_diag(m, fm):
@@ -230,7 +235,7 @@ def _airy_diag(m, fm):
 def _airy_kernel(x, y):
     """Airy kernel [Ai(x) Ai'(y) - Ai(y) Ai'(x)] / (x - y) at the broadcast
     pairs of x and y."""
-    return _ratio_kernel(x, y, specfun._airy_pairs, _airy_ratio, _airy_diag)[0]
+    return _ratio_kernel(x, y, specfun._airy_pairs, _airy_terms, _airy_diag)[0]
 
 
 def _airy_kernel_dy(x, y, ai, aip):
@@ -290,7 +295,7 @@ def _airy4_parts(x, y):
         split = kx.size
         if not at_p:
             kx, ky = np.concatenate([kx, p]), np.concatenate([ky, q])
-        kern, (ai, aip) = _ratio_kernel(kx, ky, pairs, _airy_ratio, _airy_diag)
+        kern, (ai, aip) = _ratio_kernel(kx, ky, pairs, _airy_terms, _airy_diag)
         if not at_p:
             at_p.extend(v[split:] for v in (kern, ai, aip))
         out[~tail] = kern[:split].reshape(-1, u.shape[1])
@@ -335,11 +340,14 @@ def _scalar_kernel(spec, x, y):
     y = np.asarray(y, dtype=float)
     _check_scalar_domain(spec, x, y)
     if spec.kind == "sine":
-        return sinc(np.abs(x - y))
+        d = np.asarray(x - y)
+        return _sinc_core(np.abs(d, out=d))
     if spec.kind == "airy":
         return _airy_kernel(x, y)
     s = spec.bessel_s
-    return _bessel_rho(s, x) * _bessel_rho(s, y) * _bessel_reduced(s, x, y)
+    out = _bessel_reduced(s, x, y)
+    out *= _bessel_rho(s, x) * _bessel_rho(s, y)
+    return out
 
 
 def eval_scalar(spec, x, y):

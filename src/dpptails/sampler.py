@@ -512,9 +512,10 @@ def mc_exp_moment(batch, q, lam):
     return est, stderr
 
 
-def _check_na_windows(window, c1, c2, count):
-    """Raise ValueError unless C1 and C2 are disjoint windows inside `window`
-    and `count` >= 2 configurations give the NA statistic its stderr."""
+def _check_na_windows(window, c1, c2, count, cap):
+    """Raise ValueError unless C1 and C2 are disjoint windows inside `window`,
+    `count` >= 2 configurations give the NA statistic its stderr and the
+    count cap is a finite number >= 0."""
     if not (c1.b <= c2.a or c2.b <= c1.a):
         raise ValueError("windows C1 and C2 must be disjoint")
     for c in (c1, c2):
@@ -523,6 +524,8 @@ def _check_na_windows(window, c1, c2, count):
                              f"[{window.a}, {window.b}]")
     if count < 2:
         raise ValueError(f"the NA probe needs samples >= 2 for its stderr, got {count}")
+    if not 0.0 <= cap < math.inf:
+        raise ValueError(f"the NA count cap must be a finite number >= 0, got {cap}")
 
 
 def negative_association(batch, c1, c2, cap):
@@ -533,8 +536,8 @@ def negative_association(batch, c1, c2, cap):
     C1 and C2 are disjoint windows inside the batch's window.
     """
     n = batch.offsets.size - 1
-    _check_na_windows(batch.node_rule, c1, c2, n)
     cap = float(cap)
+    _check_na_windows(batch.node_rule, c1, c2, n, cap)
     f1 = np.minimum(_window_counts(batch, c1), cap)
     f2 = np.minimum(_window_counts(batch, c2), cap)
     lhs = float(np.mean(f1 * f2))
@@ -549,9 +552,10 @@ def negative_association(batch, c1, c2, cap):
 
 def negative_association_probe(spec, c1, c2, cap, samples, seed, order=512):
     """`negative_association` on `samples` fresh draws from the hull of C1
-    and C2.  Bad windows or counts raise before anything is solved or drawn.
+    and C2.  Bad windows, counts or caps raise before anything is solved or
+    drawn.
     """
     hull = kernels.Interval(min(c1.a, c2.a), max(c1.b, c2.b))
-    _check_na_windows(hull, c1, c2, samples)
+    _check_na_windows(hull, c1, c2, samples, float(cap))
     batch = sample(spec, hull, order, samples, seed)
     return negative_association(batch, c1, c2, cap)

@@ -175,31 +175,59 @@ _SMALL_T = 1e-4
 _HUGE_T = 2.0 ** 256
 
 
-def _sinc_argument(name, t):
-    """(t, small, huge, u, us): t as a float array (NaN and +-inf raise
-    DomainError), the masks |t| < _SMALL_T and |t| >= _HUGE_T, u = pi t with
-    the huge points at pi, and us = u on the small points, 0 elsewhere."""
-    t_arr = np.asarray(t, dtype=float)
+def _finite_t(name, t):
+    """t as a new float array; NaN and +-inf raise DomainError."""
+    t_arr = np.array(t, dtype=float)
     bad = ~np.isfinite(t_arr)
     if bad.any():
         raise DomainError(f"{name} requires finite t, got {t_arr[bad][0]}")
-    mag = np.abs(t_arr)
-    small, huge = mag < _SMALL_T, mag >= _HUGE_T
+    return t_arr
+
+
+def _sinc_masks(t):
+    """The masks |t| < _SMALL_T and |t| >= _HUGE_T of a float array t."""
+    mag = np.abs(t)
+    return mag < _SMALL_T, mag >= _HUGE_T
+
+
+def _sinc_argument(name, t):
+    """(t, small, huge, u, us): t as a float array (NaN and +-inf raise
+    DomainError), the masks of `_sinc_masks`, u = pi t with the huge points
+    at pi, and us = u on the small points, 0 elsewhere."""
+    t_arr = _finite_t(name, t)
+    small, huge = _sinc_masks(t_arr)
     u = np.pi * np.where(huge, 1.0, t_arr)
     return t_arr, small, huge, u, np.where(small, u, 0.0)
 
 
-def sinc(t):
-    """sin(pi t)/(pi t) with the removable singularity handled by series.
-
-    Accepts scalars or numpy arrays of finite t; the error bound is
-    WORKING_RANGES["sinc"].  NaN and +-inf raise DomainError.
-    """
-    _, small, huge, u, us = _sinc_argument("sinc", t)
+def _sinc_core(t):
+    """sinc at the points of t, a float array without NaN that it overwrites
+    (an inf counts as huge): the series on the points |t| < _SMALL_T only,
+    sin(u)/u with u = pi t into one new array elsewhere, and 0 from _HUGE_T
+    on.  `sinc` runs it on a copy, `kernels` on its own |x - y| buffer."""
+    small, huge = _sinc_masks(t)
+    t[huge] = 1.0
+    t *= np.pi
+    us = t[small]
     u2 = us * us
     series = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
-    out = np.where(small, series, np.sin(u) / np.where(small, 1.0, u))
+    t[small] = 1.0
+    out = np.sin(t, out=np.empty_like(t))
+    out /= t
+    out[small] = series
     out[huge] = 0.0
+    return out
+
+
+def sinc(t):
+    """sin(pi t)/(pi t), with the removable singularity handled by a series
+    on the points |t| < 1e-4 alone.
+
+    Accepts scalars or numpy arrays of finite t, and leaves an array argument
+    unchanged; the error bound is WORKING_RANGES["sinc"].  NaN and +-inf
+    raise DomainError.
+    """
+    out = _sinc_core(_finite_t("sinc", t))
     return float(out) if out.ndim == 0 else out
 
 

@@ -426,6 +426,14 @@ def test_combination_d_divergence():
         bounds.combination_d(1.0, 1.0)
 
 
+@pytest.mark.parametrize("psi1, dpsi0", [(2.0, math.nan), (math.nan, 1.0), (2.0, 0.0),
+                                         (2.0, -1.0)])
+def test_combination_d_refuses_nan_and_bad_psi(psi1, dpsi0):
+    # a NaN must not slip past the guards: max(2.0, nan) is 2.0
+    with pytest.raises(ValueError):
+        bounds.combination_d(psi1, dpsi0)
+
+
 def test_combination_d_and_moment_bound_past_e700():
     # both used to cap their exponent at 700: d(705) came out as e^700 and
     # d(800) as e^700 too, below the e^{Psi(1)} that d must dominate
@@ -441,6 +449,14 @@ def test_combination_d_and_moment_bound_past_e700():
 def test_poisson_exp_moment():
     assert bounds.poisson_exp_moment(2.0, 0.0) == 0.0
     assert bounds.poisson_exp_moment(1.0, math.log(2.0)) == pytest.approx(1.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("theta, lam", [(math.nan, 1.0), (1.0, math.nan), (1.0, math.inf),
+                                        (1.0, -math.inf), (math.inf, 1.0), (0.0, 1.0),
+                                        (-1.0, 1.0)])
+def test_poisson_exp_moment_refuses_non_finite_input(theta, lam):
+    with pytest.raises(ValueError):
+        bounds.poisson_exp_moment(theta, lam)
 
 
 def test_poisson_series_oracle():

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,21 @@ def test_discretize_constant_kernel_rank_one():
 def test_discretize_sine_trace():
     d = exact.discretize(SINE, Interval(0.0, 1.0), 200)
     assert d.trace == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("kid, a, b", [("sine", -3.0, 3.0), ("airy", -2.0, 0.0),
+                                       ("bessel:s=0.5", 0.5, 4.0)])
+def test_discretize_holds_about_two_gram_sized_arrays(kid, a, b):
+    # the Gram and its symmetrized copy, plus boolean masks and order-n scratch
+    spec, win, n = kernels.make_kernel(kid), Interval(a, b), 384
+    exact.discretize(spec, win, n)       # warm the quadrature-rule cache
+    tracemalloc.start()
+    try:
+        exact.discretize(spec, win, n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_discretize_order_check():

@@ -671,6 +671,21 @@ def test_negative_association_refuses(c1, c2, count, match):
         sampler.negative_association(batch, c1, c2, cap=3)
 
 
+@pytest.mark.parametrize("cap", [math.nan, -1.0, math.inf])
+def test_negative_association_refuses_a_bad_cap(cap, monkeypatch):
+    batch = sampler.sample(SINE, Interval(0.0, 1.0), 32, 50, seed=5)
+    with pytest.raises(ValueError, match="cap"):
+        sampler.negative_association(batch, Interval(0.0, 0.5), Interval(0.5, 1.0), cap)
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("the probe sampled before checking its cap")
+
+    monkeypatch.setattr(sampler, "sample", no_draw)
+    with pytest.raises(ValueError, match="cap"):
+        sampler.negative_association_probe(SINE, Interval(0.0, 0.5), Interval(0.5, 1.0),
+                                           cap=cap, samples=50, seed=5, order=32)
+
+
 # ---------------------------------------------------------------------------
 # declarative families
 # ---------------------------------------------------------------------------

@@ -70,6 +70,23 @@ def test_sinc_branch_continuity():
         assert sf.sinc(t) == pytest.approx(math.sin(u) / u, rel=1e-13)
 
 
+def test_sinc_leaves_its_argument_unchanged():
+    t = np.array([0.0, 5e-5, -0.5, 3.0, 2.0 ** 256])
+    before = t.copy()
+    sf.sinc(t)
+    assert t.tobytes() == before.tobytes()
+
+
+def test_sinc_array_is_the_scalar_path_at_each_point():
+    # zeros, the series points |t| < 1e-4, ordinary values and t >= 2^256,
+    # mixed in one array: each entry has the bits of sinc at that point alone
+    t = np.array([0.0, -0.0, 1e-5, -9.99e-5, 1e-4, -0.25, 0.5, 1.0, 7.3, -41.9,
+                  2.0 ** 256, -2.0 ** 300, 1e308, 3e-9])
+    got = sf.sinc(t.reshape(2, 7))
+    assert got.shape == (2, 7)
+    assert got.ravel().tobytes() == np.array([sf.sinc(float(v)) for v in t]).tobytes()
+
+
 def test_sinc_antiderivative_zero():
     assert sf.sinc_antiderivative(0.0) == 0.0
 
