@@ -20,11 +20,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import specfun
+from ._dd import _dd_add, _dd_div_d, _dd_mul, _split
 from .specfun import (
     DomainError,
-    _dd_add,
-    _dd_div_d,
-    _dd_mul,
     _sinc_core,
     sinc,
     sinc_antiderivative,
@@ -173,31 +171,40 @@ _BESSEL_SERIES_TERMS = 300
 
 def _bessel_series(s, x):
     """(phi, psi, chi) at one point (a float) or a 1-d array of points:
-    sibling entire series in double-double."""
+    sibling entire series in double-double, one per Gamma shift 1, 2, 3.
+    At a point the three run one after another; on an array they are the
+    lanes of one run: for n points, lane j n + i is point i at shift j + 1."""
     s = float(s)
+    shifts = (1.0, 2.0, 3.0)
+
+    def step(k, st):
+        sh, sl, th, tl, qa, qa_hi, qa_lo, ra, shift = st
+        m = k + 1
+        th, tl = _dd_mul(th, tl, qa, 0.0, (qa_hi, qa_lo))
+        th, tl = _dd_div_d(th, tl, float(m))
+        th, tl = _dd_div_d(th, tl, m + s + shift - 1.0)
+        sh, sl = _dd_add(sh, sl, th, tl)
+        return [sh, sl, th, tl, qa, qa_hi, qa_lo, ra, shift]
+
+    def converged(k, st):
+        sh, th, ra = st[0], st[2], st[7]
+        return (abs(th) < 1e-34 * (abs(sh) + 1e-300)) & (4.0 * (k + 1) > ra)
+
+    def run(start, zero, qa, ra, shift):
+        sh, sl = specfun._iterate(step, converged,
+                                  [start, zero, start, zero, qa, *_split(qa), ra, shift], 2,
+                                  _BESSEL_SERIES_TERMS, "bessel kernel series")
+        return sh + sl
+
     q = -x / 4.0
     root = specfun._per_point(lambda v: abs(v) ** 0.5, x)
-    sums = []
-    for shift in (1.0, 2.0, 3.0):
-        def step(k, st, shift=shift):
-            sh, sl, th, tl, qa, ra = st
-            m = k + 1
-            th, tl = _dd_mul(th, tl, qa, 0.0)
-            th, tl = _dd_div_d(th, tl, float(m))
-            th, tl = _dd_div_d(th, tl, m + s + shift - 1.0)
-            sh, sl = _dd_add(sh, sl, th, tl)
-            return [sh, sl, th, tl, qa, ra]
-
-        def converged(k, st):
-            sh, _, th, _, _, ra = st
-            return (abs(th) < 1e-34 * (abs(sh) + 1e-300)) & (4.0 * (k + 1) > ra)
-
-        start = specfun._like(x, math.exp(-math.lgamma(s + shift)))
-        zero = specfun._like(x, 0.0)
-        sh, sl = specfun._iterate(step, converged, [start, zero, start, zero, q, root], 2,
-                                  _BESSEL_SERIES_TERMS, "bessel kernel series")
-        sums.append(sh + sl)
-    return tuple(sums)
+    starts = [math.exp(-math.lgamma(s + shift)) for shift in shifts]
+    if not isinstance(x, np.ndarray):
+        return tuple(run(start, 0.0, q, root, shift) for start, shift in zip(starts, shifts))
+    n = x.size
+    lanes = run(np.repeat(starts, n), np.zeros(3 * n), np.tile(q, 3), np.tile(root, 3),
+                np.repeat(shifts, n))
+    return tuple(lanes.reshape(3, n))
 
 
 def _bessel_reduced_diag(x, f):
@@ -340,7 +347,9 @@ def _scalar_kernel(spec, x, y):
     y = np.asarray(y, dtype=float)
     _check_scalar_domain(spec, x, y)
     if spec.kind == "sine":
-        d = np.asarray(x - y)
+        # x - y overflows to +-inf for far pairs, where sinc is 0
+        with np.errstate(over="ignore"):
+            d = np.asarray(x - y)
         return _sinc_core(np.abs(d, out=d))
     if spec.kind == "airy":
         return _airy_kernel(x, y)
@@ -453,7 +462,7 @@ def _bessel_envelope_amplitude(s, b):
 _AIRY_MAJORANTS = (0.39888262466694224, 0.32924355403876177)
 
 
-# cached: 3-6 ms a call, and a certify run asks for its one airy window 5 times
+# cached: 3-4 ms a call, and a certify run asks for its one airy window 5 times
 @lru_cache(maxsize=256)
 def _airy_envelope_amplitude(a, b):
     """Window-dependent amplitude for the Airy kernel with scale 1, order 3/2.
@@ -473,7 +482,7 @@ def _airy_envelope_amplitude(a, b):
     return 1.02 * float(prof.max())
 
 
-# cached: ~20 ms a call, and a certify run asks for its one airy4 window twice
+# cached: 13-20 ms a call, and a certify run asks for its one airy4 window twice
 @lru_cache(maxsize=64)
 def _airy4_envelope_amplitude(a, b):
     """Desk-scale empirical envelope for the airy4 block entries.

@@ -5,9 +5,10 @@ constants) consumes these routines, so they avoid external special-function
 libraries.  Core series are accumulated in compensated double-double
 arithmetic: several consumers (finite-difference residual tests, ratio-form
 kernel diagonals) need results correct to within a few ulp, which a plain
-double accumulation of badly cancelling series cannot deliver.  The series
-and the adaptive quadrature also run on whole arrays of points and
-intervals, with results bit-identical to one-point runs.
+double accumulation of badly cancelling series cannot deliver (`_dd` holds
+that arithmetic).  The series and the adaptive quadrature also run on whole
+arrays of points and intervals, with results bit-identical to one-point
+runs.
 """
 
 import math
@@ -16,6 +17,18 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from ._dd import (
+    _dd_add,
+    _dd_add_to,
+    _dd_div_d,
+    _dd_div_d_to,
+    _dd_mul,
+    _dd_mul_d,
+    _dd_mul_to,
+    _split,
+    _two_prod,
+)
 
 __all__ = [
     "QuadratureRule",
@@ -43,73 +56,7 @@ class ConvergenceError(RuntimeError):
     """An internal iteration failed to converge; signals a defect."""
 
 
-# ---------------------------------------------------------------------------
-# double-double primitives (Dekker/Knuth).  Exact under IEEE-754 doubles.
-# ---------------------------------------------------------------------------
-
-_SPLITTER = 134217729.0  # 2**27 + 1
 _LOG_MAX = math.log(sys.float_info.max)  # exp(x) is finite exactly up to here
-
-
-def _two_sum(a, b):
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_sum(a, b):
-    # requires |a| >= |b|
-    s = a + b
-    return s, b - (s - a)
-
-
-def _split(a):
-    """Dekker's split a = hi + lo, each half at most 26 bits wide."""
-    hi = _SPLITTER * a
-    hi = hi - (hi - a)
-    return hi, a - hi
-
-
-def _two_prod(a, b, b_split=None):
-    """(p, e) with p + e = a b exactly; `b_split` is `_split(b)` when the
-    caller keeps it for a b that many products share.  The splits are
-    written out: as `_split` calls they slow the scalar Airy series ~20%."""
-    p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    if b_split is None:
-        bh = _SPLITTER * b
-        bh = bh - (bh - b)
-        bl = b - bh
-    else:
-        bh, bl = b_split
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _dd_add(xh, xl, yh, yl):
-    s, e = _two_sum(xh, yh)
-    e += xl + yl
-    return _quick_sum(s, e)
-
-
-def _dd_mul(xh, xl, yh, yl, yh_split=None):
-    p, e = _two_prod(xh, yh, yh_split)
-    e += xh * yl + xl * yh
-    return _quick_sum(p, e)
-
-
-def _dd_mul_d(xh, xl, d):
-    p, e = _two_prod(xh, d)
-    e += xl * d
-    return _quick_sum(p, e)
-
-
-def _dd_div_d(xh, xl, d):
-    q1 = xh / d
-    p, e = _two_prod(q1, d)
-    q2 = (((xh - p) - e) + xl) / d
-    return _quick_sum(q1, q2)
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +264,8 @@ def bessel_j(nu, x):
 
 
 # ---------------------------------------------------------------------------
-# elementwise recurrences on one point (floats) or many points (1-d arrays)
+# elementwise recurrences on one point (floats) or many points (arrays)
 # ---------------------------------------------------------------------------
-
-def _vmax(a, b):
-    """max of two floats, or the elementwise maximum of arrays."""
-    if type(a) is float:
-        return a if a >= b else b
-    return np.maximum(a, b)
-
-
-def _like(x, value):
-    """`value` as a float for a point, as a constant array for an array of points."""
-    return np.full(x.shape, value) if isinstance(x, np.ndarray) else value
-
 
 def _per_point(fn, x):
     """fn on Python floats, applied point by point (libm, never a vector kernel)."""
@@ -342,13 +277,17 @@ def _per_point(fn, x):
 def _iterate(step, converged, state, n_out, terms, what):
     """Advance the elementwise recurrence `step` until each point converges.
 
-    `state` is a list of floats (one point) or of equal-length 1-d arrays
-    (one entry per point); step(k, state) returns the state after term k and
-    converged(k, state) is the per-point stopping test.  On arrays a point
-    leaves the active set at its own first converged k, so it does exactly
-    the arithmetic of a one-point run and every result is bit-identical to
-    it.  Returns the first n_out state entries as each point left; a point
-    still active after `terms` steps raises ConvergenceError.
+    `state` is a list of floats (one point) or of arrays whose last axis
+    runs over the points, a (P,) row or a (rows, P) block each; step(k,
+    state) returns the state after term k (on arrays it may work in place)
+    and converged(k, state) is the per-point stopping test.  On arrays a
+    point's first n_out entries are recorded at its own first converged k,
+    so every value is bit-identical to a run of that point alone.  A
+    finished column is carried along, its further arithmetic thrown away,
+    until at least half the carried columns have finished; then the state
+    is compacted to the running ones.  Returns the first n_out entries as
+    each point finished; a point still running after `terms` steps raises
+    ConvergenceError.
     """
     if not isinstance(state[0], np.ndarray):
         for k in range(terms):
@@ -356,21 +295,32 @@ def _iterate(step, converged, state, n_out, terms, what):
             if converged(k, state):
                 return state[:n_out]
         raise ConvergenceError(f"{what} did not converge in {terms} terms")
-    out = np.empty((n_out, state[0].size))
-    idx = np.arange(state[0].size)
+    out = [np.empty(v.shape) for v in state[:n_out]]
+    column = np.arange(state[0].shape[-1])    # the point of each carried column
+    running = np.ones(column.size, dtype=bool)
+    left = column.size
     for k in range(terms):
-        if not idx.size:
-            break
+        if not left:
+            return out
         state = step(k, state)
         done = converged(k, state)
-        if done.any():
-            out[:, idx[done]] = [v[done] for v in state[:n_out]]
-            keep = ~done
-            idx = idx[keep]
-            state = [v[keep] for v in state]
-    if idx.size:
+        done &= running
+        n_done = int(np.count_nonzero(done))
+        if n_done:
+            for o, v in zip(out, state):
+                o[..., column[done]] = v[..., done]
+            running &= ~done
+            left -= n_done
+            if 2 * left <= running.size:
+                # `take` keeps each block C-ordered; a boolean index on the
+                # last axis would return it transposed, and every later
+                # ufunc would stride
+                keep = np.flatnonzero(running)
+                state = [v.take(keep, axis=-1) for v in state]
+                column, running = column[keep], np.ones(left, dtype=bool)
+    if left:
         raise ConvergenceError(f"{what} did not converge in {terms} terms")
-    return list(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -386,56 +336,101 @@ _C1 = (0.3550280538878172, 2.05233632436212e-17)      # Ai(0)
 _C2 = (0.2588194037928068, -2.522243111610832e-17)    # -Ai'(0)
 
 
+def _airy_divisors(terms):
+    """(d, hi, lo), shape (3, terms, 4, 1): the divisor d of each term row at
+    each k and its `_split`; rows a_k, c_k, d_k and b_k (whose k = 0 entry
+    is never used).  Built in Python floats: numpy arithmetic at import
+    raised every process's peak memory by ~0.4 MB."""
+    d = [float(v) for k in range(terms)
+         for v in ((3 * k + 2) * (3 * k + 3), (3 * k + 3) * (3 * k + 4),
+                   (3 * k + 1) * (3 * k + 3), k * (3 * k + 2) * (3 * k + 3))]
+    return np.array([d, *zip(*map(_split, d))]).reshape(3, terms, 4, 1)
+
+
+_AIRY_DIVISORS = _airy_divisors(_AIRY_SERIES_TERMS)
+
+
 def _airy_series_step(k, st):
-    """Advance f = sum a_k x^{3k}, g = sum c_k x^{3k+1} and the derivative
-    series f' (terms b_k, k >= 1) and g' (terms d_k, k >= 0) by one term.
-    The state carries x^3 = x3h + x3l and the `_split` of x3h."""
+    """Advance the four Maclaurin series by one term.  The rows of the
+    (4, P) sums s and terms t are f = sum a_k x^{3k}, g = sum c_k x^{3k+1},
+    g' (terms d_k, k >= 0) and f' (terms b_k, k >= 1): each term is times
+    x^3 over its row's divisor, b_k also times k + 1.  b_1 = x^2/2 is the
+    seed of the last row, which first moves at k = 1."""
+    s_h, s_l, t_h, t_l, x3h, x3l, x3_hi, x3_lo, cube, w = st
+    rows = slice(None) if k else slice(3)
+    th, tl, wr = t_h[rows], t_l[rows], w[:, rows]
+    _dd_mul_to(th, tl, x3h, x3l, (x3_hi, x3_lo), wr)
+    if k:
+        _dd_mul_to(t_h[3], t_l[3], float(k + 1), None, _split(float(k + 1)), w[:, 3])
+    d, d_hi, d_lo = _AIRY_DIVISORS[:, k, rows]
+    _dd_div_d_to(th, tl, d, (d_hi, d_lo), wr)
+    _dd_add_to(s_h, s_l, t_h, t_l, w)
+    return st
+
+
+def _airy_series_converged(k, st):
+    # largest current term against max(|f|, |g|, 1), once k^3 > |x|^3/27
+    bound = np.abs(st[2]).max(axis=0)
+    scale = np.abs(st[0][:2]).max(axis=0)
+    np.maximum(scale, 1.0, out=scale)
+    return (bound < 1e-36 * scale) & (27 * k * k * k > st[8])
+
+
+def _airy_point_step(k, st):
+    """`_airy_series_step` at one point, the four series one after another
+    in Python floats: the state is f, g, f', g' and their terms a_k, c_k,
+    b_k, d_k as double-doubles, then x^3, |x|^3 and the `_split` of x^3."""
     (fh, fl, gh, gl, fp_h, fp_l, gp_h, gp_l,
      tf_h, tf_l, tg_h, tg_l, tb_h, tb_l, td_h, td_l, x3h, x3l, cube, x3_hi, x3_lo) = st
     x3s = (x3_hi, x3_lo)
-    # advance the function-series terms from index k to k+1
+    div_a, div_c, div_d, div_b = _AIRY_DIVISORS[0, k, :, 0].tolist()
     tf_h, tf_l = _dd_mul(tf_h, tf_l, x3h, x3l, x3s)
-    tf_h, tf_l = _dd_div_d(tf_h, tf_l, float((3 * k + 2) * (3 * k + 3)))
+    tf_h, tf_l = _dd_div_d(tf_h, tf_l, div_a)
     tg_h, tg_l = _dd_mul(tg_h, tg_l, x3h, x3l, x3s)
-    tg_h, tg_l = _dd_div_d(tg_h, tg_l, float((3 * k + 3) * (3 * k + 4)))
+    tg_h, tg_l = _dd_div_d(tg_h, tg_l, div_c)
     fh, fl = _dd_add(fh, fl, tf_h, tf_l)
     gh, gl = _dd_add(gh, gl, tg_h, tg_l)
-
     if k > 0:
-        # b_1 = x^2/2 is the seed
         tb_h, tb_l = _dd_mul(tb_h, tb_l, x3h, x3l, x3s)
         tb_h, tb_l = _dd_mul_d(tb_h, tb_l, float(k + 1))
-        tb_h, tb_l = _dd_div_d(tb_h, tb_l, float(k * (3 * k + 2) * (3 * k + 3)))
+        tb_h, tb_l = _dd_div_d(tb_h, tb_l, div_b)
     fp_h, fp_l = _dd_add(fp_h, fp_l, tb_h, tb_l)
-
     td_h, td_l = _dd_mul(td_h, td_l, x3h, x3l, x3s)
-    td_h, td_l = _dd_div_d(td_h, td_l, float((3 * k + 1) * (3 * k + 3)))
+    td_h, td_l = _dd_div_d(td_h, td_l, div_d)
     gp_h, gp_l = _dd_add(gp_h, gp_l, td_h, td_l)
     return [fh, fl, gh, gl, fp_h, fp_l, gp_h, gp_l,
             tf_h, tf_l, tg_h, tg_l, tb_h, tb_l, td_h, td_l, x3h, x3l, cube, x3_hi, x3_lo]
 
 
-def _airy_series_converged(k, st):
-    # largest current term against max(|f|, |g|, 1), once k^3 > |x|^3/27
-    bound = _vmax(_vmax(abs(st[8]), abs(st[10])), _vmax(abs(st[12]), abs(st[14])))
-    scale = _vmax(_vmax(abs(st[0]), abs(st[2])), 1.0)
-    return (bound < 1e-36 * scale) & (27 * k * k * k > st[18])
+def _airy_point_converged(k, st):
+    bound = max(abs(st[8]), abs(st[10]), abs(st[12]), abs(st[14]))
+    return bound < 1e-36 * max(abs(st[0]), abs(st[2]), 1.0) and 27 * k * k * k > st[18]
 
 
 def _airy_series(x):
-    """(Ai, Ai') on |x| <= _AIRY_SWITCH via the two Maclaurin series, at one
-    point (a float) or at a 1-d array of points."""
+    """(Ai, Ai') on |x| <= _AIRY_SWITCH via the two Maclaurin series: at a
+    1-d array of points one run of `_airy_series_step`, at one point (a
+    float) one run of `_airy_point_step`."""
     # x^3 as a double-double
     x2h, x2l = _two_prod(x, x)
     x3h, x3l = _dd_mul(x2h, x2l, x, 0.0)
     tb_h, tb_l = _dd_div_d(x2h, x2l, 2.0)
-    one, zero = _like(x, 1.0), _like(x, 0.0)
-    state = [one, zero, x, zero, zero, zero, one, zero,
-             one, zero, x, zero, tb_h, tb_l, one, zero,
-             x3h, x3l, _per_point(lambda v: abs(v) ** 3, x), *_split(x3h)]
-    fh, fl, gh, gl, fp_h, fp_l, gp_h, gp_l = _iterate(
-        _airy_series_step, _airy_series_converged, state, 8, _AIRY_SERIES_TERMS,
-        "airy series")
+    cube = _per_point(lambda v: abs(v) ** 3, x)
+    if isinstance(x, np.ndarray):
+        one, zero = np.ones(x.size), np.zeros(x.size)
+        state = [np.array([one, x, one, zero]), np.zeros((4, x.size)),
+                 np.array([one, x, one, tb_h]), np.array([zero, zero, zero, tb_l]),
+                 x3h, x3l, *_split(x3h), cube, np.empty((5, 4, x.size))]
+        s_h, s_l = _iterate(_airy_series_step, _airy_series_converged, state, 2,
+                            _AIRY_SERIES_TERMS, "airy series")
+        fh, gh, gp_h, fp_h = s_h
+        fl, gl, gp_l, fp_l = s_l
+    else:
+        state = [1.0, 0.0, x, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, x, 0.0, tb_h, tb_l,
+                 1.0, 0.0, x3h, x3l, cube, *_split(x3h)]
+        fh, fl, gh, gl, fp_h, fp_l, gp_h, gp_l = _iterate(
+            _airy_point_step, _airy_point_converged, state, 8, _AIRY_SERIES_TERMS,
+            "airy series")
     aih, ail = _dd_add(*_dd_mul(_C1[0], _C1[1], fh, fl),
                        *_dd_mul(-_C2[0], -_C2[1], gh, gl))
     aph, apl = _dd_add(*_dd_mul(_C1[0], _C1[1], fp_h, fp_l),
@@ -515,8 +510,10 @@ def _airy_asymptotic(x):
 
 
 # below this many distinct points one array run of a series costs more than
-# one-point runs (about 11 ms against 0.3-0.5 ms per point)
-_MIN_BATCH = 32
+# one-point runs: an Airy array run costs about 2.5 ms and a one-point run
+# 0.07-0.3 ms (0.2 ms on average over [-9, 9]); for the Bessel triple 0.8 ms
+# against 0.1 ms
+_MIN_BATCH = 12
 
 
 def _series_values(xs, series):
@@ -588,8 +585,11 @@ def _adaptive_quadrature_batch(f, a, b, tol=1e-12, max_depth=45):
     f(owner, x) takes an integer array owner (P,) and nodes x (P, 15) and
     returns the values of integrand owner[p] at x[p].  Bisection runs
     breadth first: each round evaluates every pending panel of every
-    integral in one call of f, and the first round, on the whole
-    intervals, calls f even when every interval is empty.  A panel is
+    integral in one call of f.  The first round takes the whole intervals
+    with both their halves, and calls f even when every interval is
+    empty; each later round takes the halves of the panels still split.
+    Each panel sum is a reduction over its own row of nodes, so the
+    grouping of panels into calls changes no bit.  A panel is
     accepted when its coarse GL-15 value and the sum of its two halves
     agree to its integral's tolerance; a non-finite panel, or a panel at
     max_depth that still disagrees, raises ConvergenceError.  Each total
@@ -615,14 +615,19 @@ def _adaptive_quadrature_batch(f, a, b, tol=1e-12, max_depth=45):
     tol = np.broadcast_to(np.asarray(tol, dtype=float), a.shape)
     owner = np.flatnonzero(a != b)
     lo, hi = a[owner], b[owner]
-    coarse = panels(owner, lo, hi)
+    mid = 0.5 * (lo + hi)
+    # the first round takes the whole intervals and both their halves
+    first = panels(np.tile(owner, 3), np.concatenate([lo, lo, mid]),
+                   np.concatenate([hi, mid, hi]))
+    coarse, left, right = np.split(first, 3)
     done_owner, done_lo, done_value = [], [], []
     depth = 0
     while owner.size:
-        mid = 0.5 * (lo + hi)
-        halves = panels(np.concatenate([owner, owner]),
-                        np.concatenate([lo, mid]), np.concatenate([mid, hi]))
-        left, right = halves[:owner.size], halves[owner.size:]
+        if depth:
+            mid = 0.5 * (lo + hi)
+            halves = panels(np.concatenate([owner, owner]),
+                            np.concatenate([lo, mid]), np.concatenate([mid, hi]))
+            left, right = halves[:owner.size], halves[owner.size:]
         fine = left + right
         gap = np.abs(fine - coarse)
         ok = gap < np.maximum(tol[owner], 1e-16 * np.abs(fine))
@@ -777,15 +782,22 @@ class QuadratureRule:
 
 
 def _legendre_and_prime(n, x):
-    p_prev = np.ones_like(x)
-    p = x.copy()
+    # P_j = ((2j - 1) x P_{j-1} - (j - 1) P_{j-2}) / j, in that order of
+    # operations, in place on three buffers that take turns
+    p_prev, p, t = np.ones_like(x), x.copy(), np.empty_like(x)
     for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+        np.multiply(2 * j - 1, x, out=t)
+        t *= p
+        p_prev *= j - 1
+        t -= p_prev
+        t /= j
+        p_prev, p, t = p, t, p_prev
     dp = n * (p_prev - x * p) / (1.0 - x * x)
     return p, dp
 
 
-# cached: 6.5 ms at n = 200, 13 ms at n = 384; certify and spectra runs reuse rules
+# cached: about 1.8 ms at n = 128, 3 ms at n = 200 and 6 ms at n = 384;
+# certify and spectra runs reuse rules
 @lru_cache(maxsize=128)
 def _gauss_legendre_reference(n):
     """Read-only nodes and weights of the n-point rule on [-1, 1], n >= 2."""

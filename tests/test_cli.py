@@ -550,3 +550,43 @@ def test_write_failure_exit_2(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_atomic_write", refuse)
     assert run(["bound", "--kernel", "sine", "--window", "0,1",
                 "--out", str(tmp_path / "rep")]) == 2
+
+
+def test_bound_json_bytes_equal_the_indented_encoder():
+    # the table rows come from one C-encoder pass; every float spelling
+    # (signed zero, subnormal, huge, +-inf, NaN) must match indent=2 output
+    values = [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, -1.5, 0.1,
+              np.float64(2.0 / 3.0), -123456.789e-300]
+    payload = {"header": {"kernel": "sine", "window": [0.0, 1.0], "order": 200, "seed": 1,
+                          "version": "0.1.0", "c_single_sigma": math.inf, "exponent_note": "x"},
+               "report": {"kernel": "sine", "window": [0.0, 1.0], "sigma": 1.0, "B": math.nan,
+                          "table": [{"n": n, "log_bound": v} for n, v in enumerate(values, 1)]}}
+    assert cli._bound_json(payload) == json.dumps(payload, indent=2, default=float)
+    payload["report"]["table"] = []
+    assert cli._bound_json(payload) == json.dumps(payload, indent=2, default=float)
+
+
+def test_bound_json_file_bytes_equal_the_indented_encoder(tmp_path):
+    base = tmp_path / "b"
+    assert run(["bound", "--kernel", "sine", "--window=0,1", "--out", str(base)]) == 0
+    text = (tmp_path / "b.json").read_text()
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def test_main_builds_one_parser_per_process(tmp_path, monkeypatch):
+    builds = []
+    build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    cli._parser.cache_clear()
+    try:
+        for name in ("a", "b"):
+            assert run(["bound", "--kernel", "sine", "--window=0,1",
+                        "--out", str(tmp_path / name)]) == 0
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()

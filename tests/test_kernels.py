@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -45,6 +46,14 @@ def test_sine_diagonal():
 
 def test_sine_value():
     assert kernels.eval_scalar(SINE, 0.0, 0.5) == pytest.approx(2.0 / math.pi, rel=1e-14)
+
+
+def test_sine_far_pair_is_zero_without_a_warning():
+    # x - y overflows to -inf; sinc is 0 there, and no RuntimeWarning escapes
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert kernels.eval_scalar(SINE, 1e308, -1e308) == 0.0
+        assert kernels.eval_scalar(SINE, -1e308, 1e308) == 0.0
 
 
 def test_airy_diagonal_richardson_oracle():
@@ -386,6 +395,18 @@ def test_bessel_series_triples_bit_identical_to_scalar_oracle(s):
     assert [v.shape for v in triples(xs[:0])] == [(0,)] * 3
 
 
+@pytest.mark.parametrize("s", [0.5, -0.5, 3.0])
+def test_bessel_lanes_equal_three_separate_runs(s):
+    # an array run is the three shifts as lanes of one recurrence; a point
+    # runs them one after another.  Points from 1e-3 to 1600 finish after
+    # a few terms to a few hundred, so lanes leave the run at every stage
+    xs = np.concatenate([np.geomspace(1e-3, 1600.0, 97), [0.25, 0.25 + 1e-12, 37.0]])
+    lanes = kernels._bessel_series(s, xs)
+    assert [v.shape for v in lanes] == [xs.shape] * 3
+    separate = np.array([kernels._bessel_series(s, float(v)) for v in xs]).T
+    assert _bits(np.array(lanes)) == _bits(separate)
+
+
 @pytest.mark.parametrize("spec, lo, hi", [(AIRY, -6.0, 2.0), (BESSEL_HALF, 0.3, 8.0),
                                           (BESSEL2, 0.5, 300.0), (SINE, -3.0, 3.0)])
 def test_kernel_matrix_bit_identical_to_eval_scalar(spec, lo, hi):
@@ -437,11 +458,12 @@ def test_airy4_blocks_match_pairs_and_separate_tail_integrals():
         assert block[0, 0] == a11, (a, b)
 
 
-def test_airy4_envelope_runs_three_airy_series_passes(monkeypatch):
+def test_airy4_envelope_runs_two_airy_series_passes(monkeypatch):
     # one Airy pass per quadrature round of the shared tail batch, whose
-    # first round also covers the entries' own points; no point takes the
-    # one-point path, a series run from a float state (6 passes and 267
-    # one-point runs before the batch)
+    # first round takes the whole intervals with their halves and also
+    # covers the entries' own points; no point takes the one-point path, a
+    # series run from a float state (6 passes and 267 one-point runs before
+    # the batch, 3 passes before the first round took the halves)
     counts = {"array_series": 0, "one_point": 0}
     iterate = specfun._iterate
 
@@ -453,7 +475,7 @@ def test_airy4_envelope_runs_three_airy_series_passes(monkeypatch):
     monkeypatch.setattr(specfun, "_iterate", counting_iterate)
     amplitude = kernels._airy4_envelope_amplitude.__wrapped__(-1.0, 0.0)
     assert amplitude.hex() == "0x1.be347867e741ap-4"
-    assert counts == {"array_series": 3, "one_point": 0}
+    assert counts == {"array_series": 2, "one_point": 0}
 
 
 def test_airy_majorants_rederived_bit_for_bit():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 from fractions import Fraction
@@ -334,6 +335,29 @@ def test_airy_pairs_bit_identical_to_one_point_view():
     assert small_ai.shape == (2, 3) and _bits(small_ai.ravel()) == _bits(ai[:6])
 
 
+def test_airy_array_runs_bit_identical_to_one_point_runs(monkeypatch):
+    # points over the whole working range; on the series branch they take
+    # from 4 to 53 terms, so columns finish at every stage of a run and
+    # some are carried past their last term before the state is compacted
+    xs = np.concatenate([np.linspace(-20.0, 15.0, 353), [1e-3, -2e-3, 0.04, -8.99, 8.99],
+                         np.random.default_rng(7).uniform(-9.0, 9.0, 200)])
+    ai, aip = sf._airy_pairs(xs)
+    terms = []
+    converged = sf._airy_point_converged
+
+    def counting(k, st):
+        done = converged(k, st)
+        if done:
+            terms.append(k + 1)
+        return done
+
+    monkeypatch.setattr(sf, "_airy_point_converged", counting)
+    want = [sf._airy_pair(float(v)) for v in xs]
+    assert _bits(ai) == _bits([w[0] for w in want])
+    assert _bits(aip) == _bits([w[1] for w in want])
+    assert min(terms) <= 5 and max(terms) >= 46
+
+
 def test_airy_pairs_domain_error():
     with pytest.raises(sf.DomainError):
         sf._airy_pairs(np.array([0.0, 15.5]))
@@ -477,6 +501,21 @@ def test_gauss_legendre_reference_computed_once_and_read_only():
     rule = sf.gauss_legendre(31, -0.5, 3.0)
     assert _bits(rule.nodes) == _bits(1.25 + 1.75 * x)
     assert _bits(rule.weights) == _bits(1.75 * w)
+
+
+@pytest.mark.parametrize("n, digest", [
+    (15, "47d353af419e2c1d4b8778e0de53d10b6f17809449d7562eefcc9f09a7d0d0f9"),
+    (24, "f3ccba9dad0c997d08f7c99ff5f3d1b727cb0ab581035adac096ad2f2394a85b"),
+    (48, "fb36364cf55a1c02bf0aad4f845d89d95965433d3b46326def858ddc416aab4a"),
+    (128, "8a5b3aabca1205378183a2c0dec8bbfca67588ad81b0b0a2ce4e26cf0a5f88fc"),
+    (192, "39d45df7f3158a551cd393b83040e3824eb85a817c5614ebc7dac26295edd6bb"),
+    (200, "4638faaab22651a531cb1fed220adf53f52f594e4f5270081c0d8b7a09b3d2a7"),
+    (384, "a9304df081f093a32c94bdecb00875a7d2aad4156f78d1baf9661dd947e0cfde"),
+])
+def test_gauss_legendre_reference_bytes_pinned(n, digest):
+    # sha256 of the node bytes followed by the weight bytes
+    x, w = sf._gauss_legendre_reference(n)
+    assert hashlib.sha256(x.tobytes() + w.tobytes()).hexdigest() == digest
 
 
 def test_airy_tail_domain_error():
