@@ -202,7 +202,9 @@ def cmd_bound(args, spec):
     _atomic_write(base + ".json", [_bound_json(payload) + "\n"])
     lines = _csv_header_lines(args)
     lines.append("n,log_tail_bound,theorem_form_bound")
-    lines += [f"{n},{_fmt(lb)},{_fmt(report.theorem_log_bound(n))}"
+    # the theorem column inline: BoundReport.theorem_log_bound, operation for operation
+    b, two_sigma = report.b_tail, 2.0 * report.sigma
+    lines += ["%d,%.17g,%.17g" % (n, lb, b * n * n - (n * n / two_sigma) * math.log(n))
               for n, lb in report.per_n_log_bounds]
     _atomic_write(base + ".csv", ["\n".join(lines) + "\n"])
     print(f"wrote {base}.json and {base}.csv (B={_fmt(report.b_tail)}, "

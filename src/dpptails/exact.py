@@ -131,34 +131,59 @@ class CountDistribution:
 # ---------------------------------------------------------------------------
 
 def _on_pairs(f, xs, ys):
-    """f on the grid xs x ys from one call on the broadcast pairs (a constant too)."""
-    vals = f(xs[:, None], ys[None, :])
-    return np.array(np.broadcast_to(vals, (xs.size, ys.size)), dtype=float)
+    """f on the grid xs x ys, one call on the broadcast pairs of each row
+    block (`kernels._block_rows`); f may return a constant."""
+    out = np.empty((xs.size, ys.size))
+    for blk in _kernels._slices(xs.size, _kernels._block_rows(ys.size)):
+        out[blk] = f(xs[blk, None], ys[None, :])
+    return out
 
 
 def _kernel_gram(spec, xs):
     """Gram matrix at the nodes xs of a KernelSpec or of a plain callable
-    (x, y) -> value, the callable's upper triangle mirrored."""
+    (x, y) -> value.  The callable is called once per row block, on the
+    columns from the block's first row on, and the lower triangle is
+    mirrored."""
     if isinstance(spec, _kernels.KernelSpec):
         return _kernels.kernel_matrix(spec, xs)
-    gram = _on_pairs(spec, xs, xs)
-    lower = np.tril_indices(xs.size, -1)
-    gram[lower] = gram.T[lower]
+    n = xs.size
+    gram = np.empty((n, n))
+    for blk in _kernels._slices(n, _kernels._block_rows(n)):
+        lo = blk.start
+        gram[blk, lo:] = spec(xs[blk, None], xs[None, lo:])
+        gram[blk, :lo] = gram[:lo, blk].T
+        tile = gram[blk, blk]
+        np.copyto(tile, tile.T, where=np.tri(blk.stop - lo, k=-1, dtype=bool))
     return gram
 
 
+# the side of a square tile under the block rule: 127^2 < 2^14 doubles
+_TILE = math.isqrt(_kernels._BLOCK_DOUBLES - 1)
+
+
 def discretize(spec, window, order):
-    """Symmetrized Nystrom matrix sqrt(w_i w_j) Pi(x_i, x_j) on a GL rule."""
+    """Symmetrized Nystrom matrix sqrt(w_i w_j) Pi(x_i, x_j) on a GL rule.
+
+    The Gram matrix is the only n x n array: it is scaled in place and
+    symmetrized one mirrored pair of tiles at a time through one scratch
+    tile, (g_ij + g_ji) / 2 at both places."""
     order = int(order)
     if order < 8:
         raise ValueError("need order >= 8")
     rule = gauss_legendre(order, window.a, window.b)
-    gram = _kernel_gram(spec, rule.nodes)
+    mat = _kernel_gram(spec, rule.nodes)
     sw = np.sqrt(rule.weights)
-    gram *= sw[:, None]
-    gram *= sw[None, :]
-    mat = np.add(gram, gram.T)
-    mat *= 0.5
+    mat *= sw[:, None]
+    mat *= sw[None, :]
+    tiles = _kernels._slices(order, _TILE)
+    scratch = np.empty((tiles[-1].stop - tiles[-1].start,) * 2)
+    for i, rows in enumerate(tiles):
+        for cols in tiles[i:]:
+            t = np.add(mat[rows, cols], mat[cols, rows].T,
+                       out=scratch[:rows.stop - rows.start, :cols.stop - cols.start])
+            t *= 0.5
+            mat[rows, cols] = t
+            mat[cols, rows] = t.T
     return DiscretizedKernel(rule, mat)
 
 
@@ -290,10 +315,7 @@ def _row_blocks(m, inner, cols):
     rows * inner * cols <= _BLAS_BLOCK (one row at least).  The sizes are
     balanced, so no block is a single row unless every block is: numpy
     sends a one-row product to gemv, whose rounding may differ from gemm."""
-    rows = max(1, _BLAS_BLOCK // max(1, inner * cols))
-    count = max(1, -(-m // rows))
-    edges = [m * i // count for i in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+    return _kernels._slices(m, max(1, _BLAS_BLOCK // max(1, inner * cols)))
 
 
 def _matmul(x, y):

@@ -9,7 +9,9 @@ the bound machinery consumes.
 Scalar kernel values come from one broadcasting evaluator: `eval_scalar`
 is its float view and `kernel_matrix` its Gram view on (xs[:, None],
 xs[None, :]).  The Airy and reduced Bessel kernels are ratio forms, and
-`_ratio_kernel` alone holds their diagonal-band rule.
+`_ratio_kernel` alone holds their diagonal-band rule.  The evaluator runs
+the pairs in row blocks whose arrays stay under _BLOCK_DOUBLES each, into
+one output array.
 """
 
 import math
@@ -126,33 +128,89 @@ def _near_diagonal(x, y):
     return np.abs(x - y) < _DIAG_BAND * (1.0 + np.abs(x))
 
 
-def _ratio_kernel(x, y, series, terms, diag):
+# A block of pairs holds fewer than this many doubles (128 KiB) in each of
+# its arrays: glibc maps a larger array, and its free moves the mmap
+# threshold, which with n x n temporaries set the peak RSS
+_BLOCK_DOUBLES = 1 << 14
+
+
+def _block_rows(width):
+    """Rows of `width` doubles that fit one block (one row at least)."""
+    return max(1, (_BLOCK_DOUBLES - 1) // max(1, width))
+
+
+def _slices(m, rows):
+    """Slices of range(m) into the fewest pieces of at most `rows` each; their
+    sizes differ by one at most, and the last is the largest."""
+    count = max(1, -(-m // rows))
+    edges = [m * i // count for i in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+
+
+def _row_parts(shape, *arrays):
+    """Row blocks of the broadcast `shape` (1-d at least) as (slice, parts):
+    the first axis cut so that each block holds fewer than _BLOCK_DOUBLES
+    pairs, and parts each array's rows in the block, the array lifted to
+    the rank of shape and taken whole where that axis has length 1."""
+    lifted = [np.reshape(a, (1,) * (len(shape) - np.ndim(a)) + np.shape(a)) for a in arrays]
+    return [(blk, [a if a.shape[0] == 1 else a[blk] for a in lifted])
+            for blk in _slices(shape[0], _block_rows(math.prod(shape[1:])))]
+
+
+def _pair_blocks(x, y, *arrays):
+    """(out, scratch, blocks) for the pairs of the float arrays x and y: an
+    empty array of their broadcast shape (one row for a 0-d shape), one
+    scratch block as large as its largest row block, and the `_row_parts`
+    of x, y and arrays."""
+    out = np.empty(np.broadcast_shapes(x.shape, y.shape) or (1,))
+    blocks = _row_parts(out.shape, x, y, *arrays)
+    return out, np.empty_like(out[blocks[-1][0]]), blocks
+
+
+def _ratio_kernel(x, y, series, factors, diag, rho=None):
     """(kernel, fx): the ratio-form kernel at the pairs of x and y, which
     broadcast, and the series outputs at the points of x, shaped like x.
 
     series(points) returns one array per entire function of the kernel;
-    terms(x, fx, y, fy) gives the two products whose difference over x - y
-    is the divided difference, and diag(m, fm) its limit, taken at the
-    midpoint m of each band pair.  One series pass covers the points of x,
-    of y and the band midpoints, so a Gram matrix costs 2n series points,
-    not n^2; the difference and the quotient are formed in place, so it
-    holds two n^2 arrays.  Each value is bit-identical to its pair alone.
+    factors(x, fx, y, fy) gives the factor pairs of the two products whose
+    difference over x - y is the divided difference, and diag(m, fm) its
+    limit, taken at the midpoint m of each band pair; rho, a pair of
+    arrays shaped like x and y, multiplies each value by rho_x rho_y.  The
+    pairs run in row blocks (`_pair_blocks`): one pass collects the band
+    midpoints, one series pass covers the points of x, of y and all
+    midpoints (so a Gram matrix costs 2n series points, not n^2), and a
+    second pass writes each block's products, difference, quotient, band
+    values and density product into the output rows through one reused
+    scratch block.  So the output is the only array of its size, and each
+    value is bit-identical to its pair alone.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    band = _near_diagonal(x, y)
-    xb, yb = np.broadcast_arrays(x, y)
-    mid = 0.5 * (xb[band] + yb[band])
+    bands, mids = [], []
+    for _, (xr, yr) in _row_parts(np.broadcast_shapes(x.shape, y.shape) or (1,), x, y):
+        band = np.nonzero(_near_diagonal(xr, yr))
+        xb, yb = np.broadcast_arrays(xr, yr)
+        bands.append(band)
+        mids.append(0.5 * (xb[band] + yb[band]))
+    mid = np.concatenate(mids)
     f = series(np.concatenate([x.ravel(), y.ravel(), mid]))
     nx, nxy = x.size, x.size + y.size
     fx = [v[:nx].reshape(x.shape) for v in f]
     fy = [v[nx:nxy].reshape(y.shape) for v in f]
+    band_values = diag(mid, [v[nxy:] for v in f])
+    ends = np.cumsum([0] + [m.size for m in mids]).tolist()
+    (a, b), (c, d) = factors(x, fx, y, fy)
+    out, scratch, blocks = _pair_blocks(x, y, a, b, c, d, *(rho or ()))
     with np.errstate(divide="ignore", invalid="ignore"):
-        out, scratch = (np.asarray(v, dtype=float) for v in terms(x, fx, y, fy))
-        out -= scratch
-        out /= np.subtract(x, y, out=scratch)
-    out[band] = diag(mid, [v[nxy:] for v in f])
-    return out, fx
+        for (blk, (xr, yr, a, b, c, d, *rr)), band, lo, hi in zip(
+                blocks, bands, ends[:-1], ends[1:]):
+            o, s = np.multiply(a, b, out=out[blk]), scratch[:blk.stop - blk.start]
+            o -= np.multiply(c, d, out=s)
+            o /= np.subtract(xr, yr, out=s)
+            o[band] = band_values[lo:hi]
+            if rr:
+                o *= np.multiply(*rr, out=s)
+    return out.reshape(np.broadcast_shapes(x.shape, y.shape)), fx
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +271,14 @@ def _bessel_reduced_diag(x, f):
     return 0.25 * phi * psi - (x / 16.0) * phi * chi + (x / 16.0) * psi * psi
 
 
-def _bessel_reduced(s, x, y):
+def _bessel_reduced(s, x, y, rho=None):
     """Reduced Bessel kernel [g(x) phi(y) - g(y) phi(x)] / (x - y) with
-    g = (x/4) psi, at the broadcast pairs of x and y."""
+    g = (x/4) psi, at the broadcast pairs of x and y; times rho_x rho_y when
+    rho is a pair of density arrays shaped like x and y."""
     return _ratio_kernel(
         x, y, lambda p: specfun._series_values(p, lambda v: _bessel_series(s, v)),
-        lambda x, fx, y, fy: ((x / 4.0) * fx[1] * fy[0], (y / 4.0) * fy[1] * fx[0]),
-        _bessel_reduced_diag)[0]
+        lambda x, fx, y, fy: (((x / 4.0) * fx[1], fy[0]), ((y / 4.0) * fy[1], fx[0])),
+        _bessel_reduced_diag, rho)[0]
 
 
 def _bessel_rho(s, x):
@@ -231,8 +290,8 @@ def _bessel_rho(s, x):
 # Airy kernel pieces
 # ---------------------------------------------------------------------------
 
-def _airy_terms(x, fx, y, fy):
-    return fx[0] * fy[1], fy[0] * fx[1]
+def _airy_factors(x, fx, y, fy):
+    return (fx[0], fy[1]), (fy[0], fx[1])
 
 
 def _airy_diag(m, fm):
@@ -242,7 +301,7 @@ def _airy_diag(m, fm):
 def _airy_kernel(x, y):
     """Airy kernel [Ai(x) Ai'(y) - Ai(y) Ai'(x)] / (x - y) at the broadcast
     pairs of x and y."""
-    return _ratio_kernel(x, y, specfun._airy_pairs, _airy_terms, _airy_diag)[0]
+    return _ratio_kernel(x, y, specfun._airy_pairs, _airy_factors, _airy_diag)[0]
 
 
 def _airy_kernel_dy(x, y, ai, aip):
@@ -302,7 +361,7 @@ def _airy4_parts(x, y):
         split = kx.size
         if not at_p:
             kx, ky = np.concatenate([kx, p]), np.concatenate([ky, q])
-        kern, (ai, aip) = _ratio_kernel(kx, ky, pairs, _airy_terms, _airy_diag)
+        kern, (ai, aip) = _ratio_kernel(kx, ky, pairs, _airy_factors, _airy_diag)
         if not at_p:
             at_p.extend(v[split:] for v in (kern, ai, aip))
         out[~tail] = kern[:split].reshape(-1, u.shape[1])
@@ -346,17 +405,20 @@ def _scalar_kernel(spec, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_scalar_domain(spec, x, y)
-    if spec.kind == "sine":
-        # x - y overflows to +-inf for far pairs, where sinc is 0
-        with np.errstate(over="ignore"):
-            d = np.asarray(x - y)
-        return _sinc_core(np.abs(d, out=d))
     if spec.kind == "airy":
         return _airy_kernel(x, y)
-    s = spec.bessel_s
-    out = _bessel_reduced(s, x, y)
-    out *= _bessel_rho(s, x) * _bessel_rho(s, y)
-    return out
+    if spec.kind == "bessel":
+        s = spec.bessel_s
+        return _bessel_reduced(s, x, y, (_bessel_rho(s, x), _bessel_rho(s, y)))
+    # sine: sinc of |x - y|, formed in the scratch block, into the output rows
+    out, scratch, blocks = _pair_blocks(x, y)
+    for blk, (xr, yr) in blocks:
+        d = scratch[:blk.stop - blk.start]
+        # x - y overflows to +-inf for far pairs, where sinc is 0
+        with np.errstate(over="ignore"):
+            np.subtract(xr, yr, out=d)
+        _sinc_core(np.abs(d, out=d), out=out[blk])
+    return out.reshape(np.broadcast_shapes(x.shape, y.shape))
 
 
 def eval_scalar(spec, x, y):
@@ -470,16 +532,20 @@ def _airy_envelope_amplitude(a, b):
     Uses (q + r)^{3/2} <= sqrt(2)(q^{3/2} + r^{3/2}) so the growth along the
     r-direction stays below e^{r^{3/2}}; the residual r-profile is maximized
     on a grid (it decays like e^{(2/3 sqrt2 - 1) r^{3/2}}), for 33 points p
-    of the window as one broadcast.
+    of the window, broadcast over row blocks of points (`_block_rows`).
     """
     ca, cap = _AIRY_MAJORANTS
     ps = np.linspace(a, b, 33)
     ai, aip = (np.abs(v)[:, None] for v in specfun._airy_pairs(ps))
-    rr = np.linspace(0.0, 4.0 * np.abs(ps) + 80.0, 1600, axis=-1)
     q = np.abs(ps)[:, None]
-    grow = (2.0 / 3.0) * (q + rr) ** 1.5 - rr ** 1.5
-    prof = (aip * cap * (1.0 + q + rr) ** 0.25 + ai * ca * (q + rr)) * np.exp(grow)
-    return 1.02 * float(prof.max())
+    peaks = []
+    for blk in _slices(ps.size, _block_rows(1600)):
+        rr = np.linspace(0.0, 4.0 * np.abs(ps[blk]) + 80.0, 1600, axis=-1)
+        qr = q[blk] + rr
+        grow = (2.0 / 3.0) * qr ** 1.5 - rr ** 1.5
+        prof = (aip[blk] * cap * (1.0 + q[blk] + rr) ** 0.25 + ai[blk] * ca * qr) * np.exp(grow)
+        peaks.append(prof.max())
+    return 1.02 * float(np.max(peaks))
 
 
 # cached: 13-20 ms a call, and a certify run asks for its one airy4 window twice

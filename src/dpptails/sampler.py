@@ -107,12 +107,11 @@ def pair_functional(evaluator, support, grid=64):
             raise ValueError("q must vanish on the diagonal")
     # blocks [k-1, k+1] x [l-1, l+1] that intersect (even touch) the support;
     # one evaluator call takes a row k and a run of its l blocks side by side,
-    # each call's arrays under 2^14 doubles (128 KiB): glibc maps a larger
-    # array, and its free moves the mmap threshold, which at one call per
-    # row raised the sample job's peak RSS by 0.5 MB
+    # each call's arrays under the block rule (`kernels._BLOCK_DOUBLES`); one
+    # call per row raised the sample job's peak RSS by 0.5 MB
     ls = [l for l in range(math.ceil(y0) - 1, math.floor(y1) + 2)
           if max(l - 1.0, y0) <= min(l + 1.0, y1)]
-    per_call = max(1, ((1 << 14) - 1) // (grid * grid))
+    per_call = kernels._block_rows(grid * grid)
     runs = [ls[i:i + per_call] for i in range(0, len(ls), per_call)]
     grids = [np.concatenate([np.linspace(max(l - 1.0, y0), min(l + 1.0, y1), grid)
                              for l in run]) for run in runs]

@@ -147,11 +147,12 @@ def _sinc_argument(name, t):
     return t_arr, small, huge, u, np.where(small, u, 0.0)
 
 
-def _sinc_core(t):
+def _sinc_core(t, out=None):
     """sinc at the points of t, a float array without NaN that it overwrites
     (an inf counts as huge): the series on the points |t| < _SMALL_T only,
-    sin(u)/u with u = pi t into one new array elsewhere, and 0 from _HUGE_T
-    on.  `sinc` runs it on a copy, `kernels` on its own |x - y| buffer."""
+    sin(u)/u with u = pi t into `out` (a new array by default) elsewhere,
+    and 0 from _HUGE_T on.  `sinc` runs it on a copy, `kernels` on its own
+    |x - y| buffer and the output rows."""
     small, huge = _sinc_masks(t)
     t[huge] = 1.0
     t *= np.pi
@@ -159,7 +160,7 @@ def _sinc_core(t):
     u2 = us * us
     series = 1.0 - u2 / 6.0 * (1.0 - u2 / 20.0 * (1.0 - u2 / 42.0))
     t[small] = 1.0
-    out = np.sin(t, out=np.empty_like(t))
+    out = np.sin(t, out=np.empty_like(t) if out is None else out)
     out /= t
     out[small] = series
     out[huge] = 0.0

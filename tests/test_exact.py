@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import math
@@ -56,6 +57,60 @@ def test_discretize_broadcast_callable_bit_identical_to_pairwise_loop():
     assert exact.correlation_function(kernel, pts) == float(
         np.linalg.det(_pairwise_gram(kernel, np.array(pts))))
 
+
+# sha256 of discretize(...).matrix bytes, taken before the Gram matrix was
+# built in row blocks.  Each window puts pairs off the diagonal inside the
+# ratio kernels' band (the sinc series for sine).  Order 41 is one block;
+# 385 and 1024 split into row blocks and tiles of unequal sizes.
+PINNED_MATRICES = [
+    ("sine", 0.0, 1e-3, 8, "4717b00d35b8dbae9589467065e8ea45d93fdb0347eb1747f2559e08b082404a"),
+    ("airy", -1.0, -0.999, 8, "fb3b7ba5b349054ebec6e2d6c53bc9bd89bab0d655ba93e300a96237469d7ae7"),
+    ("bessel:s=0.5", 1.0, 1.001, 8,
+     "0b6c28f0182e4319091ea125fb9dc4d807ebb4781f3c41a03407e3b581f2c242"),
+    ("bessel:s=0", 0.0, 1e-3, 8, "6d7da2c6d85254f0fce06d2de4ff695dae2662fd5d1f78a7c2469f1703468209"),
+    ("sine", 0.0, 0.02, 41, "3e935fc3fede2dd673403a26d402b82fa84df857a0925e609e66a0726517bc9c"),
+    ("airy", -1.05, -1.0, 41, "e8219d1f6ac2c497d47ae8605724a4bc4e82456202e80ebd63d0a4fbbdc4c16f"),
+    ("bessel:s=0.5", 1.0, 1.05, 41,
+     "8a40190a1b9be41c829dc190e66eee19d4af38d08a82425184063dfbe0c994f2"),
+    ("bessel:s=0", 0.0, 0.02, 41, "8305c72d97d847fe1b14b5ce3217fa58cf4944b4a797f043dbf691f0c25b8799"),
+    ("sine", -1.0, 1.0, 385, "0beda84eb51564a67dd128124dbce48472278375a9bf98d8833e24f02c4bfb5d"),
+    ("airy", -2.0, 0.0, 385, "fbf6fa8fc48009e773b653fd8795b0253cc3f2d333c829efafff5c4ae828a4fe"),
+    ("bessel:s=0.5", 0.5, 4.0, 385,
+     "0451f23b2a687afd04ecc5d75256304b44fc75eac209cf9acdb84ac2a507a03e"),
+    ("bessel:s=0", 0.0, 4.0, 385, "f145ad8bc4b53f3e3fda025349c7b2637654fd1437bd1d69979f9b010f927bc5"),
+    ("sine", -3.0, 3.0, 1024, "833dd023e80ecfa26c1d6e7662e39a5d10f00e1bc1a329abd743eff2197f94c5"),
+    ("airy", -2.0, 0.0, 1024, "c96e825a48206bd6b253e50bc266be1cb8909eb2733a8fa010d98a24f2981f31"),
+    ("bessel:s=0.5", 0.5, 4.0, 1024,
+     "5aa389b13c65f24fdff0495d250534e280a5208b7dfc0a2a1e16f0e7f27d6cc2"),
+    ("bessel:s=0", 0.0, 4.0, 1024, "8624bce6f6af73a4b19a74da4186cf91b96e558967fd9b505e09572add10fe21"),
+]
+
+
+@pytest.mark.parametrize("kid, a, b, order, digest", PINNED_MATRICES)
+def test_discretize_matrix_bytes_pinned(kid, a, b, order, digest):
+    x = gauss_legendre(order, a, b).nodes
+    if kid == "sine":
+        band = np.abs(x[:, None] - x[None, :]) < specfun._SMALL_T
+    else:
+        band = kernels._near_diagonal(x[:, None], x[None, :])
+    assert np.count_nonzero(band) > order
+    m = exact.discretize(kernels.make_kernel(kid), Interval(a, b), order).matrix
+    assert hashlib.sha256(m.tobytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("order, digest", [
+    (8, "05d35d202b618cd37c1b24c86fb17c725f02c48530b0c1aab9b935469d4d05ff"),
+    (41, "625f9ce9b95a7a09dff10cb6e3c7f4501768f332358b98057567638c47e5290f"),
+    (385, "dc6d8efc6004df9cc61a2f2c3b8780c581a2d00f5033bf7fefa951b6a98703c5"),
+])
+def test_discretize_callable_matrix_bytes_pinned(order, digest):
+    def kernel(x, y):
+        return np.exp(-(x - y) * (x - y)) * np.cos(x * y + x)
+
+    m = exact.discretize(kernel, Interval(-1.0, 2.0), order).matrix
+    assert hashlib.sha256(m.tobytes()).hexdigest() == digest
+
+
 def test_discretize_constant_kernel_rank_one():
     d = exact.discretize(lambda x, y: 1.0, Interval(0.0, 1.0), 24)
     sw = np.sqrt(d.rule.weights)
@@ -70,8 +125,8 @@ def test_discretize_sine_trace():
 
 @pytest.mark.parametrize("kid, a, b", [("sine", -3.0, 3.0), ("airy", -2.0, 0.0),
                                        ("bessel:s=0.5", 0.5, 4.0)])
-def test_discretize_holds_about_two_gram_sized_arrays(kid, a, b):
-    # the Gram and its symmetrized copy, plus boolean masks and order-n scratch
+def test_discretize_holds_about_one_gram_sized_array(kid, a, b):
+    # the Gram, symmetrized in place, plus row blocks under 2^14 doubles
     spec, win, n = kernels.make_kernel(kid), Interval(a, b), 384
     exact.discretize(spec, win, n)       # warm the quadrature-rule cache
     tracemalloc.start()
@@ -80,7 +135,7 @@ def test_discretize_holds_about_two_gram_sized_arrays(kid, a, b):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * 8 * n * n, peak / (8 * n * n)
+    assert peak <= 1.5 * 8 * n * n, peak / (8 * n * n)
 
 
 def test_discretize_order_check():

@@ -5,8 +5,12 @@ Usage: python tools/output_digests.py SRC SEED
 Runs the full-size certify, spectra and montecarlo job lists of
 `perfbench/workloads.py` through `dpptails.cli.main`, importing `dpptails`
 from the source directory SRC, in a temporary directory that is removed
-afterwards.  Run it once against each of two source trees and diff the
-outputs to check that a change keeps the output bytes.
+afterwards.  Then prints the digest of the bytes of `exact.discretize(...)
+.matrix` for the spectra systems at orders 192, 384 and 1024 and for the
+montecarlo system (sine [-3, 3] at order 128): the job outputs hash
+eigenvalues and draws, not the Nystrom matrices.  Run it once against each
+of two source trees and diff the outputs to check that a change keeps the
+output bytes.
 """
 
 import contextlib
@@ -17,6 +21,9 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+# (kernel, window, orders) of the Nystrom matrices whose bytes are hashed
+MATRICES = [("sine", (-3.0, 3.0), (192, 384, 1024)), ("airy", (-2.0, 0.0), (192, 384, 1024)),
+            ("bessel:s=0.5", (0.5, 4.0), (192, 384, 1024)), ("sine", (-3.0, 3.0), (128,))]
 
 
 def main(argv=None):
@@ -26,7 +33,7 @@ def main(argv=None):
         return 2
     src, seed = os.path.abspath(argv[0]), int(argv[1])
     sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
-    from dpptails import cli
+    from dpptails import cli, exact, kernels
     from workloads import WORKLOADS
 
     if not os.path.abspath(cli.__file__).startswith(src + os.sep):
@@ -54,6 +61,11 @@ def main(argv=None):
                 with open(os.path.join(work, "out", fname), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
                 print(f"{digest}  {name}/{fname}")
+    for kid, (a, b), orders in MATRICES:
+        for order in orders:
+            d = exact.discretize(kernels.make_kernel(kid), kernels.Interval(a, b), order)
+            digest = hashlib.sha256(d.matrix.tobytes()).hexdigest()
+            print(f"{digest}  matrix/{kid}[{a:g},{b:g}]@{order}")
     return 1 if failed else 0
 
 
