@@ -487,7 +487,8 @@ class BoundReport:
             raise CertificateError(f"the moment bound overflows a double at lambda={lam}")
         return value
 
-    def to_json_dict(self):
+    def json_fields(self):
+        """Every field of the JSON report but its table, in report order."""
         return {
             "kernel": self.kernel,
             "window": [self.window[0], self.window[1]],
@@ -499,8 +500,11 @@ class BoundReport:
             "c2": self.c2,
             "c": self.c_moment,
             "d": self.d_combine,
-            "table": [{"n": n, "log_bound": lb} for n, lb in self.per_n_log_bounds],
         }
+
+    def to_json_dict(self):
+        return {**self.json_fields(),
+                "table": [{"n": n, "log_bound": lb} for n, lb in self.per_n_log_bounds]}
 
 
 def build_bound_report(spec, window, n_max=64, lambda_max=3.0):

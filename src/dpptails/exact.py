@@ -332,7 +332,9 @@ def _matmul(x, y):
 
 def _residual(a, q, b):
     """(diagonal, Frobenius norm) of E = a - q b q^T, accumulated per row
-    block (`_row_blocks`), so the n x n residual is never formed.
+    block (`_row_blocks`), so the n x n residual is never formed.  A block
+    of E is formed in the buffer of its product q b q^T and squared there,
+    so each block holds one temporary.
 
     The squares of a block are added by numpy's pairwise sum (one run over
     the contiguous block: 8 running sums of at most 16 terms, then halving),
@@ -348,9 +350,11 @@ def _residual(a, q, b):
     diag = np.empty(n)
     sumsq = 0.0
     for blk in _row_blocks(n, r, n):
-        e = a[blk] - q[blk] @ bqt
+        e = q[blk] @ bqt
+        np.subtract(a[blk], e, out=e)
         diag[blk] = e.diagonal(blk.start)
-        sumsq += float(np.sum(e * e))
+        e *= e
+        sumsq += float(np.sum(e))
     return diag, math.sqrt(sumsq)
 
 

@@ -540,10 +540,21 @@ def _airy_envelope_amplitude(a, b):
     q = np.abs(ps)[:, None]
     peaks = []
     for blk in _slices(ps.size, _block_rows(1600)):
+        # (aip cap (1 + q + r)^(1/4) + ai ca (q + r)) exp(2/3 (q + r)^(3/2) - r^(3/2)),
+        # in place, each operation in the order of that expression
         rr = np.linspace(0.0, 4.0 * np.abs(ps[blk]) + 80.0, 1600, axis=-1)
         qr = q[blk] + rr
-        grow = (2.0 / 3.0) * qr ** 1.5 - rr ** 1.5
-        prof = (aip[blk] * cap * (1.0 + q[blk] + rr) ** 0.25 + ai[blk] * ca * qr) * np.exp(grow)
+        grow = qr ** 1.5
+        grow *= 2.0 / 3.0
+        prof = rr ** 1.5
+        grow -= prof
+        np.exp(grow, out=grow)
+        np.add(1.0 + q[blk], rr, out=prof)
+        prof **= 0.25
+        prof *= aip[blk] * cap
+        qr *= ai[blk] * ca
+        prof += qr
+        prof *= grow
         peaks.append(prof.max())
     return 1.02 * float(np.max(peaks))
 

@@ -260,7 +260,6 @@ class SampleBatch:
         return "".join(self.jsonl_pieces())
 
 
-_BLOCK = 128        # configurations per block of the S_q gather
 _JSONL_RUN = 1000   # configurations per piece of JSONL text
 _BUDGET = 1 << 17   # doubles per chunk of draws, n + r^2 of them per configuration
 
@@ -481,7 +480,9 @@ def sample(spec, window, order, count, seed):
 def _window_counts(batch, window):
     """Points of each configuration inside the closed window."""
     inside = (batch.node_rule.nodes >= window.a) & (batch.node_rule.nodes <= window.b)
-    hits = np.cumsum(np.r_[0, inside[batch.indices]])
+    # running hit counts in the narrowest unsigned type that holds them all
+    hits = np.zeros(batch.indices.size + 1, dtype=np.min_scalar_type(batch.indices.size))
+    np.cumsum(inside[batch.indices], dtype=hits.dtype, out=hits[1:])
     return np.diff(hits[batch.offsets])
 
 
@@ -495,12 +496,11 @@ def mc_exp_moment(batch, q, lam):
     table = _pair_table(q, batch.node_rule.nodes)
     sizes = np.diff(batch.offsets)
     svals = np.zeros(sizes.size)
-    for first in range(0, sizes.size, _BLOCK):
-        block = sizes[first:first + _BLOCK]
-        for m in np.flatnonzero(np.bincount(block)):  # one gather per size m
-            members = first + np.flatnonzero(block == m)
-            cols = batch.indices[batch.offsets[members, None] + np.arange(m)]
-            svals[members] = table[cols[:, :, None], cols[:, None, :]].sum(axis=(1, 2))
+    for m in np.flatnonzero(np.bincount(sizes)):  # one gather per size m, in row blocks
+        members = np.flatnonzero(sizes == m)
+        for blk in kernels._slices(members.size, kernels._block_rows(m * m)):
+            cols = batch.indices[batch.offsets[members[blk], None] + np.arange(m)]
+            svals[members[blk]] = table[cols[:, :, None], cols[:, None, :]].sum(axis=(1, 2))
     guard = lam * float(np.max(np.abs(svals))) if svals.size else 0.0
     if guard >= 500.0:
         raise OverflowGuardError(

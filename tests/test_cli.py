@@ -6,11 +6,12 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from dpptails import cli, kernels
+from dpptails import bounds, cli, kernels
 
 
 def run(argv):
@@ -552,18 +553,62 @@ def test_write_failure_exit_2(tmp_path, monkeypatch):
                 "--out", str(tmp_path / "rep")]) == 2
 
 
+def _bound_pieces_and_encoder(values):
+    """(the piece writer's text, json.dumps(indent=2) + newline) of a bound
+    payload whose table holds `values` at n = 1, 2, ..."""
+    header = {"kernel": "sine", "window": [0.0, 1.0], "order": 200, "seed": 1,
+              "version": "0.1.0", "c_single_sigma": math.inf, "exponent_note": "x"}
+    report = {"kernel": "sine", "window": [0.0, 1.0], "sigma": 1.0, "B": math.nan}
+    rows = list(enumerate(values, 1))
+    text = "".join(cli._bound_json_pieces({"header": header, "report": report}, rows))
+    payload = {"header": header, "report": {
+        **report, "table": [{"n": n, "log_bound": v} for n, v in rows]}}
+    return text, json.dumps(payload, indent=2, default=float) + "\n"
+
+
 def test_bound_json_bytes_equal_the_indented_encoder():
-    # the table rows come from one C-encoder pass; every float spelling
+    # the table rows come from C-encoder passes; every float spelling
     # (signed zero, subnormal, huge, +-inf, NaN) must match indent=2 output
     values = [0.0, -0.0, 5e-324, 1e308, math.inf, -math.inf, math.nan, -1.5, 0.1,
               np.float64(2.0 / 3.0), -123456.789e-300]
-    payload = {"header": {"kernel": "sine", "window": [0.0, 1.0], "order": 200, "seed": 1,
-                          "version": "0.1.0", "c_single_sigma": math.inf, "exponent_note": "x"},
-               "report": {"kernel": "sine", "window": [0.0, 1.0], "sigma": 1.0, "B": math.nan,
-                          "table": [{"n": n, "log_bound": v} for n, v in enumerate(values, 1)]}}
-    assert cli._bound_json(payload) == json.dumps(payload, indent=2, default=float)
-    payload["report"]["table"] = []
-    assert cli._bound_json(payload) == json.dumps(payload, indent=2, default=float)
+    text, expected = _bound_pieces_and_encoder(values)
+    assert text == expected
+    text, expected = _bound_pieces_and_encoder([])
+    assert text == expected
+
+
+def test_bound_json_pieces_over_many_pieces_equal_the_indented_encoder():
+    # more than three pieces, with the awkward spellings on both sides of
+    # every piece edge and the table ending inside a piece
+    size = cli._PIECE_ROWS
+    values = [-0.5 * n for n in range(3 * size + 7)]
+    odd = [-0.0, 5e-324, math.inf, -math.inf, math.nan]
+    for k, edge in enumerate(range(0, len(values), size)):
+        values[edge] = odd[k % len(odd)]
+        values[edge - 1] = odd[(k + 2) % len(odd)]
+    pieces = list(cli._bound_json_pieces({"header": {}, "report": {}},
+                                         list(enumerate(values, 1))))
+    assert len(pieces) == 2 + 4
+    text, expected = _bound_pieces_and_encoder(values)
+    assert text == expected
+
+
+def test_bound_write_of_the_airy4_table_stays_small(tmp_path, monkeypatch):
+    # the certify workload's largest table: 2048 rows, written in pieces
+    report = bounds.build_bound_report(kernels.make_kernel("airy4"),
+                                       kernels.Interval(-1.0, 0.0), 2048, 2.0)
+    monkeypatch.setattr(bounds, "build_bound_report", lambda *args: report)
+    base = str(tmp_path / "b")
+    run(["bound", "--kernel", "airy4", "--window=-1,0", "--nmax", "2048", "--out", base])
+    tracemalloc.start()
+    try:
+        assert run(["bound", "--kernel", "airy4", "--window=-1,0", "--nmax", "2048",
+                    "--out", base]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25e6, peak
+    assert len(json.loads((tmp_path / "b.json").read_text())["report"]["table"]) == 2048
 
 
 def test_bound_json_file_bytes_equal_the_indented_encoder(tmp_path):

@@ -438,6 +438,21 @@ def test_residual_norm_rounding_covers_the_exact_sum(kid, a, b, order, monkeypat
     assert exact_fro * (1.0 + n * exact._EPS) >= fro
 
 
+# float.hex of spectrum(...).truncated_mass for the spectra workload's
+# systems, taken before _residual formed E in its product's buffer
+@pytest.mark.parametrize("kid, a, b, order, mass", [
+    ("sine", -3.0, 3.0, 192, "0x1.b1a63235118c2p-43"),
+    ("sine", -3.0, 3.0, 384, "0x1.2e7bca9489ad3p-42"),
+    ("airy", -2.0, 0.0, 192, "0x1.252aa22f086f5p-48"),
+    ("airy", -2.0, 0.0, 384, "0x1.aa916d20bed7ep-35"),
+    ("bessel:s=0.5", 0.5, 4.0, 192, "0x1.4f21933db57c9p-48"),
+    ("bessel:s=0.5", 0.5, 4.0, 384, "0x1.590952df638fdp-42"),
+])
+def test_truncated_mass_bits_pinned(kid, a, b, order, mass):
+    s = exact.spectrum(exact.discretize(kernels.make_kernel(kid), Interval(a, b), order))
+    assert s.truncated_mass.hex() == mass
+
+
 def test_spectrum_json_reports_rank_and_truncated_mass():
     s = exact.spectrum(exact.discretize(SINE, Interval(0.0, 1.0), 64))
     payload = s.to_json_dict()

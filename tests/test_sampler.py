@@ -643,6 +643,22 @@ def test_na_counts_match_plain_count():
     assert err == math.sqrt(var / f1.size)
 
 
+def test_window_counts_with_empty_configurations_and_an_empty_window():
+    # a short window leaves most configurations empty; the last window lies
+    # strictly between two adjacent nodes, so it holds none
+    batch = sampler.sample(SINE, Interval(0.0, 0.5), 16, 400, seed=25)
+    sizes = np.diff(batch.offsets)
+    assert np.any(sizes == 0) and np.any(sizes > 1)
+    x = batch.node_rule.nodes
+    gap = Interval(x[7] + 0.25 * (x[8] - x[7]), x[8] - 0.25 * (x[8] - x[7]))
+    for c in (Interval(0.0, 0.5), Interval(0.0, 0.2), gap):
+        plain = [sum(1 for v in cfg if c.a <= v <= c.b) for cfg in batch.configurations]
+        assert sampler._window_counts(batch, c).tolist() == plain
+    assert not np.any(sampler._window_counts(batch, gap))
+    none = sampler.sample(SINE, Interval(0.0, 0.5), 16, 0, seed=25)
+    assert sampler._window_counts(none, gap).size == 0
+
+
 def test_na_disjointness_required():
     with pytest.raises(ValueError):
         sampler.negative_association_probe(
