@@ -2,16 +2,17 @@
 sum hi + lo of two doubles.  `_two_sum` and `_two_prod` are exact under
 IEEE-754 doubles, and the operations built on them keep about 106 bits.
 
-The scalar primitives take floats or arrays alike.  The `*_to` forms do the
-same operations in the same order, so they give the same bits, but write
-into the caller's arrays; the array series steps of `specfun` use them to
-keep their row blocks in place.
+The primitives take floats or arrays alike: `bessel_j` runs them on floats,
+the Bessel kernel series and the Airy series outside its step on arrays.  The
+`*_to` forms do the same operations in the same order, so they give the
+same bits, but write into the caller's arrays; the Airy series step of
+`specfun` uses them to keep its row blocks in place.
 """
 
 import numpy as np
 
 # ---------------------------------------------------------------------------
-# scalar primitives: floats or arrays
+# primitives: floats or arrays
 # ---------------------------------------------------------------------------
 
 _SPLITTER = 134217729.0  # 2**27 + 1
@@ -38,18 +39,10 @@ def _split(a):
 
 def _two_prod(a, b, b_split=None):
     """(p, e) with p + e = a b exactly; `b_split` is `_split(b)` when the
-    caller keeps it for a b that many products share.  The splits are
-    written out: as `_split` calls they slow the scalar Airy series ~20%."""
+    caller keeps it for a b that many products share."""
     p = a * b
-    ah = _SPLITTER * a
-    ah = ah - (ah - a)
-    al = a - ah
-    if b_split is None:
-        bh = _SPLITTER * b
-        bh = bh - (bh - b)
-        bl = b - bh
-    else:
-        bh, bl = b_split
+    ah, al = _split(a)
+    bh, bl = _split(b) if b_split is None else b_split
     return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
 
 

@@ -163,8 +163,9 @@ def _kernel_spec(args):
             "yet; their bounds are available via 'bound'")
     window = args.window
     kernels.check_window(spec, window)
-    if spec.kind in ("airy", "airy4") and (window.a < -10.0 or window.b > 15.0):
-        raise DomainError("airy windows must lie inside [-10, 15]")
+    lo, hi = kernels._AIRY4_RANGE
+    if spec.kind in ("airy", "airy4") and (window.a < lo or window.b > hi):
+        raise DomainError(f"airy windows must lie inside [{lo:g}, {hi:g}]")
     return spec
 
 

@@ -228,10 +228,9 @@ _BESSEL_SERIES_TERMS = 300
 
 
 def _bessel_series(s, x):
-    """(phi, psi, chi) at one point (a float) or a 1-d array of points:
-    sibling entire series in double-double, one per Gamma shift 1, 2, 3.
-    At a point the three run one after another; on an array they are the
-    lanes of one run: for n points, lane j n + i is point i at shift j + 1."""
+    """(phi, psi, chi) at a 1-d array of points: sibling entire series in
+    double-double, one per Gamma shift 1, 2, 3, as the lanes of one run:
+    for n points, lane j n + i is point i at shift j + 1."""
     s = float(s)
     shifts = (1.0, 2.0, 3.0)
 
@@ -248,21 +247,14 @@ def _bessel_series(s, x):
         sh, th, ra = st[0], st[2], st[7]
         return (abs(th) < 1e-34 * (abs(sh) + 1e-300)) & (4.0 * (k + 1) > ra)
 
-    def run(start, zero, qa, ra, shift):
-        sh, sl = specfun._iterate(step, converged,
-                                  [start, zero, start, zero, qa, *_split(qa), ra, shift], 2,
-                                  _BESSEL_SERIES_TERMS, "bessel kernel series")
-        return sh + sl
-
-    q = -x / 4.0
-    root = specfun._per_point(lambda v: abs(v) ** 0.5, x)
-    starts = [math.exp(-math.lgamma(s + shift)) for shift in shifts]
-    if not isinstance(x, np.ndarray):
-        return tuple(run(start, 0.0, q, root, shift) for start, shift in zip(starts, shifts))
     n = x.size
-    lanes = run(np.repeat(starts, n), np.zeros(3 * n), np.tile(q, 3), np.tile(root, 3),
-                np.repeat(shifts, n))
-    return tuple(lanes.reshape(3, n))
+    q = np.tile(-x / 4.0, 3)
+    start = np.repeat([math.exp(-math.lgamma(s + shift)) for shift in shifts], n)
+    state = [start, np.zeros(3 * n), start, np.zeros(3 * n), q, *_split(q),
+             np.tile(specfun._per_point(lambda v: abs(v) ** 0.5, x), 3), np.repeat(shifts, n)]
+    sh, sl = specfun._iterate(step, converged, state, 2, _BESSEL_SERIES_TERMS,
+                              "bessel kernel series")
+    return tuple((sh + sl).reshape(3, n))
 
 
 def _bessel_reduced_diag(x, f):

@@ -6,9 +6,9 @@ libraries.  Core series are accumulated in compensated double-double
 arithmetic: several consumers (finite-difference residual tests, ratio-form
 kernel diagonals) need results correct to within a few ulp, which a plain
 double accumulation of badly cancelling series cannot deliver (`_dd` holds
-that arithmetic).  The series and the adaptive quadrature also run on whole
-arrays of points and intervals, with results bit-identical to one-point
-runs.
+that arithmetic).  The Airy and Bessel kernel series run on whole arrays of
+points and the adaptive quadrature on arrays of intervals, each value
+bit-identical to a run of its point or interval alone.
 """
 
 import math
@@ -24,7 +24,6 @@ from ._dd import (
     _dd_div_d,
     _dd_div_d_to,
     _dd_mul,
-    _dd_mul_d,
     _dd_mul_to,
     _split,
     _two_prod,
@@ -265,7 +264,7 @@ def bessel_j(nu, x):
 
 
 # ---------------------------------------------------------------------------
-# elementwise recurrences on one point (floats) or many points (arrays)
+# elementwise recurrences on arrays of points
 # ---------------------------------------------------------------------------
 
 def _per_point(fn, x):
@@ -278,24 +277,17 @@ def _per_point(fn, x):
 def _iterate(step, converged, state, n_out, terms, what):
     """Advance the elementwise recurrence `step` until each point converges.
 
-    `state` is a list of floats (one point) or of arrays whose last axis
-    runs over the points, a (P,) row or a (rows, P) block each; step(k,
-    state) returns the state after term k (on arrays it may work in place)
-    and converged(k, state) is the per-point stopping test.  On arrays a
-    point's first n_out entries are recorded at its own first converged k,
-    so every value is bit-identical to a run of that point alone.  A
-    finished column is carried along, its further arithmetic thrown away,
-    until at least half the carried columns have finished; then the state
-    is compacted to the running ones.  Returns the first n_out entries as
-    each point finished; a point still running after `terms` steps raises
-    ConvergenceError.
+    `state` is a list of arrays whose last axis runs over the points, a (P,)
+    row or a (rows, P) block each; step(k, state) returns the state after
+    term k (it may work in place) and converged(k, state) is the per-point
+    stopping test.  A point's first n_out entries are recorded at its own
+    first converged k, so every value is bit-identical to a run of that
+    point alone.  A finished column is carried along, its further
+    arithmetic thrown away, until at least half the carried columns have
+    finished; then the state is compacted to the running ones.  Returns the
+    first n_out entries as each point finished; a point still running after
+    `terms` steps raises ConvergenceError.
     """
-    if not isinstance(state[0], np.ndarray):
-        for k in range(terms):
-            state = step(k, state)
-            if converged(k, state):
-                return state[:n_out]
-        raise ConvergenceError(f"{what} did not converge in {terms} terms")
     out = [np.empty(v.shape) for v in state[:n_out]]
     column = np.arange(state[0].shape[-1])    # the point of each carried column
     running = np.ones(column.size, dtype=bool)
@@ -377,61 +369,20 @@ def _airy_series_converged(k, st):
     return (bound < 1e-36 * scale) & (27 * k * k * k > st[8])
 
 
-def _airy_point_step(k, st):
-    """`_airy_series_step` at one point, the four series one after another
-    in Python floats: the state is f, g, f', g' and their terms a_k, c_k,
-    b_k, d_k as double-doubles, then x^3, |x|^3 and the `_split` of x^3."""
-    (fh, fl, gh, gl, fp_h, fp_l, gp_h, gp_l,
-     tf_h, tf_l, tg_h, tg_l, tb_h, tb_l, td_h, td_l, x3h, x3l, cube, x3_hi, x3_lo) = st
-    x3s = (x3_hi, x3_lo)
-    div_a, div_c, div_d, div_b = _AIRY_DIVISORS[0, k, :, 0].tolist()
-    tf_h, tf_l = _dd_mul(tf_h, tf_l, x3h, x3l, x3s)
-    tf_h, tf_l = _dd_div_d(tf_h, tf_l, div_a)
-    tg_h, tg_l = _dd_mul(tg_h, tg_l, x3h, x3l, x3s)
-    tg_h, tg_l = _dd_div_d(tg_h, tg_l, div_c)
-    fh, fl = _dd_add(fh, fl, tf_h, tf_l)
-    gh, gl = _dd_add(gh, gl, tg_h, tg_l)
-    if k > 0:
-        tb_h, tb_l = _dd_mul(tb_h, tb_l, x3h, x3l, x3s)
-        tb_h, tb_l = _dd_mul_d(tb_h, tb_l, float(k + 1))
-        tb_h, tb_l = _dd_div_d(tb_h, tb_l, div_b)
-    fp_h, fp_l = _dd_add(fp_h, fp_l, tb_h, tb_l)
-    td_h, td_l = _dd_mul(td_h, td_l, x3h, x3l, x3s)
-    td_h, td_l = _dd_div_d(td_h, td_l, div_d)
-    gp_h, gp_l = _dd_add(gp_h, gp_l, td_h, td_l)
-    return [fh, fl, gh, gl, fp_h, fp_l, gp_h, gp_l,
-            tf_h, tf_l, tg_h, tg_l, tb_h, tb_l, td_h, td_l, x3h, x3l, cube, x3_hi, x3_lo]
-
-
-def _airy_point_converged(k, st):
-    bound = max(abs(st[8]), abs(st[10]), abs(st[12]), abs(st[14]))
-    return bound < 1e-36 * max(abs(st[0]), abs(st[2]), 1.0) and 27 * k * k * k > st[18]
-
-
 def _airy_series(x):
-    """(Ai, Ai') on |x| <= _AIRY_SWITCH via the two Maclaurin series: at a
-    1-d array of points one run of `_airy_series_step`, at one point (a
-    float) one run of `_airy_point_step`."""
+    """(Ai, Ai') at a 1-d array of points |x| <= _AIRY_SWITCH via the two
+    Maclaurin series, in one run of `_airy_series_step`."""
     # x^3 as a double-double
     x2h, x2l = _two_prod(x, x)
     x3h, x3l = _dd_mul(x2h, x2l, x, 0.0)
     tb_h, tb_l = _dd_div_d(x2h, x2l, 2.0)
-    cube = _per_point(lambda v: abs(v) ** 3, x)
-    if isinstance(x, np.ndarray):
-        one, zero = np.ones(x.size), np.zeros(x.size)
-        state = [np.array([one, x, one, zero]), np.zeros((4, x.size)),
-                 np.array([one, x, one, tb_h]), np.array([zero, zero, zero, tb_l]),
-                 x3h, x3l, *_split(x3h), cube, np.empty((5, 4, x.size))]
-        s_h, s_l = _iterate(_airy_series_step, _airy_series_converged, state, 2,
-                            _AIRY_SERIES_TERMS, "airy series")
-        fh, gh, gp_h, fp_h = s_h
-        fl, gl, gp_l, fp_l = s_l
-    else:
-        state = [1.0, 0.0, x, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0, x, 0.0, tb_h, tb_l,
-                 1.0, 0.0, x3h, x3l, cube, *_split(x3h)]
-        fh, fl, gh, gl, fp_h, fp_l, gp_h, gp_l = _iterate(
-            _airy_point_step, _airy_point_converged, state, 8, _AIRY_SERIES_TERMS,
-            "airy series")
+    one, zero = np.ones(x.size), np.zeros(x.size)
+    state = [np.array([one, x, one, zero]), np.zeros((4, x.size)),
+             np.array([one, x, one, tb_h]), np.array([zero, zero, zero, tb_l]),
+             x3h, x3l, *_split(x3h), _per_point(lambda v: abs(v) ** 3, x),
+             np.empty((5, 4, x.size))]
+    (fh, gh, gp_h, fp_h), (fl, gl, gp_l, fp_l) = _iterate(
+        _airy_series_step, _airy_series_converged, state, 2, _AIRY_SERIES_TERMS, "airy series")
     aih, ail = _dd_add(*_dd_mul(_C1[0], _C1[1], fh, fl),
                        *_dd_mul(-_C2[0], -_C2[1], gh, gl))
     aph, apl = _dd_add(*_dd_mul(_C1[0], _C1[1], fp_h, fp_l),
@@ -510,38 +461,21 @@ def _airy_asymptotic(x):
     return ai, aip
 
 
-# below this many distinct points one array run of a series costs more than
-# one-point runs: an Airy array run costs about 2.5 ms and a one-point run
-# 0.07-0.3 ms (0.2 ms on average over [-9, 9]); for the Bessel triple 0.8 ms
-# against 0.1 ms
-_MIN_BATCH = 12
-
-
 def _series_values(xs, series):
     """The outputs of an elementwise series at the points xs, each shaped
-    like xs and bit-identical to `series` at each point alone.
-
-    The distinct points share one array run of `series` if there are at
-    least _MIN_BATCH of them, or none; otherwise `series` runs on each
-    as a float.
-    """
+    like xs: one array run of `series` on the distinct points."""
     x = np.asarray(xs, dtype=float)
     pts, inv = np.unique(x.ravel(), return_inverse=True)
-    if 0 < pts.size < _MIN_BATCH:
-        out = [np.array(v) for v in zip(*map(series, pts.tolist()))]
-    else:
-        out = series(pts)
-    return tuple(v[inv].reshape(x.shape) for v in out)
+    return tuple(v[inv].reshape(x.shape) for v in series(pts))
 
 
 def _airy_pairs(xs):
     """(Ai, Ai') on an array of points of the working range [-20, 15]; a
     point outside it, or NaN, raises DomainError.
 
-    Of the distinct points, those with |x| <= _AIRY_SWITCH go through
-    `_series_values` (one array run from _MIN_BATCH of them on) and the
-    others share one run of `_airy_asymptotic`.  Every value is
-    bit-identical to `_airy_pair` at its point.
+    Of the distinct points, those with |x| <= _AIRY_SWITCH share one run of
+    `_airy_series` and the others one run of `_airy_asymptotic`.  Every
+    value is bit-identical to a run of its point alone.
     """
     x = np.asarray(xs, dtype=float)
     _check_range(x, "airy_ai")
@@ -549,30 +483,26 @@ def _airy_pairs(xs):
     far = np.abs(pts) > _AIRY_SWITCH
     ai, aip = np.empty(pts.shape), np.empty(pts.shape)
     if not far.all():
-        ai[~far], aip[~far] = _series_values(pts[~far], _airy_series)
+        ai[~far], aip[~far] = _airy_series(pts[~far])
     if far.any():
         ai[far], aip[far] = _airy_asymptotic(pts[far])
     return ai[inv].reshape(x.shape), aip[inv].reshape(x.shape)
 
 
 def _airy_pair(x):
-    """(Ai, Ai') at one point; the same arithmetic as _airy_pairs."""
-    x = float(x)
-    _check_range(x, "airy_ai")
-    if abs(x) <= _AIRY_SWITCH:
-        return _airy_series(x)
-    ai, aip = _airy_asymptotic(np.array([x]))
+    """(Ai, Ai') at one point, as floats: `_airy_pairs` on one point."""
+    ai, aip = _airy_pairs(np.array([float(x)]))
     return float(ai[0]), float(aip[0])
 
 
 def airy_ai(x):
     """Airy function Ai on the working range [-20, 15]."""
-    return _airy_pair(float(x))[0]
+    return _airy_pair(x)[0]
 
 
 def airy_ai_prime(x):
     """Derivative Ai' on the working range [-20, 15]."""
-    return _airy_pair(float(x))[1]
+    return _airy_pair(x)[1]
 
 
 # ---------------------------------------------------------------------------

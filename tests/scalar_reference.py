@@ -17,18 +17,8 @@ import math
 import numpy as np
 
 from dpptails import specfun
-from dpptails.specfun import (
-    ConvergenceError,
-    _C1,
-    _C2,
-    _dd_add,
-    _dd_div_d,
-    _dd_mul,
-    _dd_mul_d,
-    _two_prod,
-    gauss_legendre,
-    sinc,
-)
+from dpptails._dd import _dd_add, _dd_div_d, _dd_mul, _dd_mul_d, _two_prod
+from dpptails.specfun import ConvergenceError, _C1, _C2, gauss_legendre, sinc
 
 
 def airy_series(x):

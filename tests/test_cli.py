@@ -373,9 +373,13 @@ def test_headers_in_all_outputs(tmp_path):
         assert {"kernel", "window", "order", "seed", "version"} <= set(head)
 
 
-def test_airy_window_out_of_range_exit_2(tmp_path):
-    assert run(["bound", "--kernel", "airy", "--window=-12,0",
-                "--out", str(tmp_path / "x")]) == 2
+def test_airy_window_out_of_range_exit_2(tmp_path, capsys):
+    # both ends of the window rule, which reads its bounds from the registry
+    for kernel in ("airy", "airy4"):
+        for window in ("-12,0", "0,16"):
+            assert run(["bound", "--kernel", kernel, f"--window={window}",
+                        "--out", str(tmp_path / "x")]) == 2, (kernel, window)
+            assert "airy windows must lie inside [-10, 15]" in capsys.readouterr().err
 
 
 def test_block_kernel_bound_works(tmp_path):

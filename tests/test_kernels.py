@@ -387,9 +387,10 @@ def test_bessel_series_triples_bit_identical_to_scalar_oracle(s):
     got = triples(xs)
     for row in range(3):
         assert _bits(got[row]) == _bits(want[row]), row
-    # a one-point run and the small-batch path run the same recurrence
+    # a one-column run and a short run give the bits of the long run
     for v in xs[::37]:
-        assert kernels._bessel_series(s, float(v)) == ref.bessel_series_triple(s, v)
+        one = kernels._bessel_series(s, np.array([v]))
+        assert tuple(float(w[0]) for w in one) == ref.bessel_series_triple(s, v)
     small = triples(xs[:5])
     assert _bits(np.array(small)) == _bits(want[:, :5])
     assert [v.shape for v in triples(xs[:0])] == [(0,)] * 3
@@ -397,14 +398,17 @@ def test_bessel_series_triples_bit_identical_to_scalar_oracle(s):
 
 @pytest.mark.parametrize("s", [0.5, -0.5, 3.0])
 def test_bessel_lanes_equal_three_separate_runs(s):
-    # an array run is the three shifts as lanes of one recurrence; a point
-    # runs them one after another.  Points from 1e-3 to 1600 finish after
-    # a few terms to a few hundred, so lanes leave the run at every stage
+    # an array run is the three shifts as lanes of one recurrence; the
+    # oracle runs them one after another, and a one-column run holds the
+    # three lanes of one point.  Points from 1e-3 to 1600 finish after a
+    # few terms to a few hundred, so lanes leave the run at every stage
     xs = np.concatenate([np.geomspace(1e-3, 1600.0, 97), [0.25, 0.25 + 1e-12, 37.0]])
     lanes = kernels._bessel_series(s, xs)
     assert [v.shape for v in lanes] == [xs.shape] * 3
-    separate = np.array([kernels._bessel_series(s, float(v)) for v in xs]).T
+    separate = np.array([ref.bessel_series_triple(s, v) for v in xs]).T
     assert _bits(np.array(lanes)) == _bits(separate)
+    columns = np.hstack([kernels._bessel_series(s, np.array([v])) for v in xs])
+    assert _bits(np.array(lanes)) == _bits(columns)
 
 
 @pytest.mark.parametrize("spec, lo, hi", [(AIRY, -6.0, 2.0), (BESSEL_HALF, 0.3, 8.0),
@@ -461,21 +465,19 @@ def test_airy4_blocks_match_pairs_and_separate_tail_integrals():
 def test_airy4_envelope_runs_two_airy_series_passes(monkeypatch):
     # one Airy pass per quadrature round of the shared tail batch, whose
     # first round takes the whole intervals with their halves and also
-    # covers the entries' own points; no point takes the one-point path, a
-    # series run from a float state (6 passes and 267 one-point runs before
-    # the batch, 3 passes before the first round took the halves)
-    counts = {"array_series": 0, "one_point": 0}
+    # covers the entries' own points (6 passes and 267 one-point runs
+    # before the batch, 3 passes before the first round took the halves)
+    calls = []
     iterate = specfun._iterate
 
-    def counting_iterate(step, converged, state, *args):
-        on_array = isinstance(state[0], np.ndarray)
-        counts["array_series" if on_array else "one_point"] += 1
-        return iterate(step, converged, state, *args)
+    def counting_iterate(*args):
+        calls.append(args[0])
+        return iterate(*args)
 
     monkeypatch.setattr(specfun, "_iterate", counting_iterate)
     amplitude = kernels._airy4_envelope_amplitude.__wrapped__(-1.0, 0.0)
     assert amplitude.hex() == "0x1.be347867e741ap-4"
-    assert counts == {"array_series": 2, "one_point": 0}
+    assert calls == [specfun._airy_series_step] * 2
 
 
 def test_airy_majorants_rederived_bit_for_bit():

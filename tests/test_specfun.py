@@ -304,8 +304,10 @@ def test_airy_series_array_bit_identical_to_scalar_oracle():
     want = [ref.airy_series(v) for v in _SERIES_GRID]
     assert _bits(ai) == _bits([w[0] for w in want])
     assert _bits(aip) == _bits([w[1] for w in want])
-    # the one-point path runs the same recurrence
-    assert all(sf._airy_series(float(v)) == w for v, w in zip(_SERIES_GRID[::37], want[::37]))
+    # a one-column run gives the same bits as the run of the whole grid
+    for v, w in zip(_SERIES_GRID[::37], want[::37]):
+        one_ai, one_aip = sf._airy_series(np.array([v]))
+        assert (float(one_ai[0]), float(one_aip[0])) == w, v
 
 
 # dense grids on both asymptotic branches, their first points past +-9 and
@@ -316,10 +318,16 @@ _ASYMPTOTIC_GRID = np.concatenate([
 ])
 
 
+def _airy_reference(x):
+    """(Ai, Ai') at one point by the one-point loops of `scalar_reference`."""
+    if abs(x) <= sf._AIRY_SWITCH:
+        return ref.airy_series(x)
+    return ref.airy_asymptotic_pos(x) if x > 0 else ref.airy_asymptotic_neg(x)
+
+
 def test_airy_asymptotic_array_bit_identical_to_scalar_oracle():
     ai, aip = sf._airy_asymptotic(_ASYMPTOTIC_GRID)
-    want = [ref.airy_asymptotic_pos(v) if v > 0 else ref.airy_asymptotic_neg(v)
-            for v in _ASYMPTOTIC_GRID.tolist()]
+    want = [_airy_reference(v) for v in _ASYMPTOTIC_GRID.tolist()]
     assert _bits(ai) == _bits([w[0] for w in want])
     assert _bits(aip) == _bits([w[1] for w in want])
 
@@ -327,10 +335,11 @@ def test_airy_asymptotic_array_bit_identical_to_scalar_oracle():
 def test_airy_pairs_bit_identical_to_one_point_view():
     xs = np.concatenate([_SERIES_GRID[::7], np.linspace(-20.0, 15.0, 701), _ASYMPTOTIC_GRID])
     ai, aip = sf._airy_pairs(xs)
-    want = [sf._airy_pair(float(v)) for v in xs]
-    assert _bits(ai) == _bits([w[0] for w in want])
-    assert _bits(aip) == _bits([w[1] for w in want])
-    # below the batch size each point runs the series alone; shapes survive
+    for want in ([_airy_reference(v) for v in xs.tolist()],
+                 [sf._airy_pair(v) for v in xs.tolist()]):
+        assert _bits(ai) == _bits([w[0] for w in want])
+        assert _bits(aip) == _bits([w[1] for w in want])
+    # shapes survive, and a few points give the bits of the long run
     small_ai, _ = sf._airy_pairs(xs[:6].reshape(2, 3))
     assert small_ai.shape == (2, 3) and _bits(small_ai.ravel()) == _bits(ai[:6])
 
@@ -343,18 +352,20 @@ def test_airy_array_runs_bit_identical_to_one_point_runs(monkeypatch):
                          np.random.default_rng(7).uniform(-9.0, 9.0, 200)])
     ai, aip = sf._airy_pairs(xs)
     terms = []
-    converged = sf._airy_point_converged
+    converged = sf._airy_series_converged
 
     def counting(k, st):
+        # a one-point run stops at its first converged k
         done = converged(k, st)
-        if done:
+        if done.any():
             terms.append(k + 1)
         return done
 
-    monkeypatch.setattr(sf, "_airy_point_converged", counting)
-    want = [sf._airy_pair(float(v)) for v in xs]
-    assert _bits(ai) == _bits([w[0] for w in want])
-    assert _bits(aip) == _bits([w[1] for w in want])
+    monkeypatch.setattr(sf, "_airy_series_converged", counting)
+    for want in ([sf._airy_pair(v) for v in xs.tolist()],
+                 [_airy_reference(v) for v in xs.tolist()]):
+        assert _bits(ai) == _bits([w[0] for w in want])
+        assert _bits(aip) == _bits([w[1] for w in want])
     assert min(terms) <= 5 and max(terms) >= 46
 
 
@@ -372,7 +383,7 @@ def test_airy_series_raises_at_the_term_cap(monkeypatch):
     with pytest.raises(sf.ConvergenceError):
         sf._airy_series(np.linspace(-9.0, 9.0, 64))
     with pytest.raises(sf.ConvergenceError):
-        sf._airy_series(8.5)
+        sf._airy_series(np.array([8.5]))
     # small |x| still converges under the lowered cap
     ai, _ = sf._airy_series(np.array([0.0, 1e-3]))
     assert ai[0] == ref.airy_series(0.0)[0]
