@@ -2,7 +2,7 @@
 
 The particle count in a window is an independent Bernoulli sum over the
 eigenvalues of the restricted kernel; this demo computes those eigenvalues
-with the in-package low-rank solve (pivoted Cholesky, then cyclic Jacobi on
+with the in-package low-rank solve (pivoted Cholesky, then LAPACK's eigh on
 the projected matrix), builds the counting pmf, checks
 the Fredholm generating function, and runs the two analytic cross-checks.
 Run:  python demos/04_exact_spectra.py

@@ -3,11 +3,11 @@
 Nystrom discretization of a scalar kernel on Gauss-Legendre nodes, a
 certified low-rank eigensolve (diagonal-pivoted Cholesky to a relative
 residual, one subspace-iteration step orthonormalized by two-pass
-Gram-Schmidt, then a deterministic cyclic Jacobi Rayleigh-Ritz solve of the
-r x r projected matrix, with the spectral mass beyond rank r bounded through
-Weyl's inequality), the Bernoulli-sum counting distribution (one log-space
-recursion for the pmf and both sides of every tail), the Fredholm generating
-function, a Parlett-Reid Pfaffian, correlation functions, and
+Gram-Schmidt, then a Rayleigh-Ritz solve of the r x r projected matrix by
+LAPACK through np.linalg.eigh, with the spectral mass beyond rank r bounded
+through Weyl's inequality), the Bernoulli-sum counting distribution (one
+log-space recursion for the pmf and both sides of every tail), the Fredholm
+generating function, a Parlett-Reid Pfaffian, correlation functions, and
 two analytic cross-checks (Ginibre disk eigenvalues, scaled Legendre
 normalization).
 
@@ -34,7 +34,6 @@ __all__ = [
     "discretize",
     "spectrum",
     "eigensystem",
-    "jacobi_eigh",
     "count_distribution",
     "tail",
     "tail_bracket",
@@ -188,79 +187,8 @@ def discretize(spec, window, order):
 
 
 # ---------------------------------------------------------------------------
-# cyclic Jacobi eigensolver (round-robin parallel ordering, deterministic)
+# low-rank eigensolve
 # ---------------------------------------------------------------------------
-
-def _round_robin_pairs(n):
-    """Tournament schedule as (ps, qs) index arrays, one row per round: every
-    index pair appears exactly once, as ps < qs, and the floor(n/2) pairs of
-    a round are disjoint."""
-    players = list(range(n)) + ([-1] if n % 2 else [])
-    m = len(players)
-    rounds = []
-    for _ in range(m - 1):
-        rounds.append([(players[i], players[m - 1 - i]) for i in range(m // 2)
-                       if players[i] >= 0 and players[m - 1 - i] >= 0])
-        players = [players[0], players[-1]] + players[1:-1]
-    pairs = np.sort(np.array(rounds), axis=-1)
-    return pairs[..., 0], pairs[..., 1]
-
-
-def _rotate_columns(m, ps, qs, c, s):
-    """Rotate the column pairs (ps, qs) of m in place by Givens (c, s); m.T rotates rows."""
-    mp, mq = m[:, ps], m[:, qs]
-    m[:, ps] = mp * c - mq * s
-    m[:, qs] = mp * s + mq * c
-
-
-def jacobi_eigh(a, tol=1e-14, max_sweeps=50):
-    """(eigenvalues, eigenvectors) of a symmetric matrix by cyclic Jacobi
-    sweeps; column k of the orthogonal vector matrix belongs to value k.
-
-    Stops when the off-diagonal Frobenius norm drops below tol; raises
-    ValueError on non-finite input and specfun.ConvergenceError if the norm
-    is still >= tol after max_sweeps.  The rotation order is a fixed
-    round-robin, so results are bit-reproducible; the rotations of one round
-    act on disjoint index pairs and are applied as one orthogonal similarity.
-    """
-    a = np.array(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("jacobi_eigh needs a finite matrix")
-    n = a.shape[0]
-    if n <= 1:
-        return a.ravel().copy(), np.eye(n)
-    # rows of A and of V^T turn alike: one update on [A | V^T], then A's columns
-    av = np.concatenate([a, np.eye(n)], axis=1)
-    a = av[:, :n]
-    schedule = _round_robin_pairs(n)
-    skip = tol / (4.0 * n)
-    for sweep in range(max_sweeps + 1):
-        # off-diagonal Frobenius norm, summed directly (the subtraction form
-        # ||A||_F^2 - ||diag||^2 cancels catastrophically near convergence)
-        hollow = a - np.diag(np.diag(a))
-        off = math.sqrt(float(np.sum(hollow * hollow)))
-        if off < tol:
-            break
-        if sweep == max_sweeps:
-            raise specfun.ConvergenceError(
-                f"jacobi_eigh: off-diagonal norm {off:.3e} >= tol {tol:.1e} "
-                f"after {max_sweeps} sweeps")
-        for ps, qs in zip(*schedule):
-            apq = a[ps, qs]
-            act = np.abs(apq) > skip
-            if not np.any(act):
-                continue
-            ps, qs, apq = ps[act], qs[act], apq[act]
-            tau = (a[qs, qs] - a[ps, ps]) / (2.0 * apq)
-            t = np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t[tau == 0.0] = 1.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            _rotate_columns(av.T, ps, qs, c, s)
-            _rotate_columns(a, ps, qs, c, s)
-            a[ps, qs] = a[qs, ps] = 0.0
-    return np.diag(a).copy(), av[:, n:].T.copy()
-
 
 _RANGE_BAND = 1e-6
 _EPS = float(np.finfo(float).eps)
@@ -374,6 +302,11 @@ def _low_rank_solve(a):
     the calling thread and each output is the same at any thread count
     (the matrix-vector products of the factor and of Gram-Schmidt, r n <=
     18 432 entries at the orders <= 384 of the workloads, stay there too).
+    So does eigh up to r = 25, which LAPACK solves by implicit QL/QR; the
+    workloads reach r = 16.  From r = 26 LAPACK switches to divide and
+    conquer, and OpenBLAS 0.3.31 (2 cores) then wakes a second thread that
+    spins ~130 ms of CPU after the call; the r = 33 solve of sine [0, 20]
+    still gives the same bits at one and two threads.
     tr E is rounded up by n eps sum |E_ii|, the worst case of any order of
     summation; ||E||_F by the factor (1 + n eps), which covers the pairwise
     sum per block and the ordered sum over blocks that `_residual` runs.
@@ -390,7 +323,10 @@ def _low_rank_solve(a):
     r = q.shape[1]
     b = _matmul(q.T, _matmul(a, q))
     b = 0.5 * (b + b.T)
-    ritz, w = jacobi_eigh(b)
+    try:
+        ritz, w = np.linalg.eigh(b)
+    except np.linalg.LinAlgError as exc:    # a ValueError, which reads as bad input
+        raise specfun.ConvergenceError(f"eigh of the {r} x {r} projected matrix: {exc}") from exc
     de, fro = _residual(a, q, b)
     if fro > _RANGE_BAND:
         raise SpectrumRangeError(

@@ -11,7 +11,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dpptails import bounds, exact, kernels, specfun
+from dpptails import bounds, cli, exact, kernels, specfun
 from dpptails.kernels import Interval
 from dpptails.specfun import gauss_legendre
 
@@ -157,54 +157,6 @@ def test_spectrum_refinement(spec, window, order):
 
 
 # ---------------------------------------------------------------------------
-# Jacobi eigensolver
-# ---------------------------------------------------------------------------
-
-def test_jacobi_matches_reference_solver():
-    rng = np.random.default_rng(0)
-    a = rng.standard_normal((40, 40))
-    a = 0.5 * (a + a.T)
-    mine = np.sort(exact.jacobi_eigh(a)[0])
-    ref = np.sort(np.linalg.eigvalsh(a))
-    assert np.max(np.abs(mine - ref)) < 1e-12
-
-
-def test_jacobi_vectors_orthonormal():
-    rng = np.random.default_rng(1)
-    a = rng.standard_normal((30, 30))
-    a = 0.5 * (a + a.T)
-    evals, vecs = exact.jacobi_eigh(a)
-    assert np.max(np.abs(vecs.T @ vecs - np.eye(30))) < 1e-13
-    assert np.max(np.abs(a @ vecs - vecs * evals[None, :])) < 1e-9
-
-
-def test_jacobi_deterministic():
-    rng = np.random.default_rng(2)
-    a = rng.standard_normal((25, 25))
-    a = 0.5 * (a + a.T)
-    (v1, w1), (v2, w2) = exact.jacobi_eigh(a), exact.jacobi_eigh(a)
-    assert np.array_equal(v1, v2) and np.array_equal(w1, w2)
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf])
-def test_jacobi_rejects_non_finite_input(bad):
-    with pytest.raises(ValueError):
-        exact.jacobi_eigh([[1.0, bad], [bad, 1.0]])
-    with pytest.raises(ValueError):
-        exact.jacobi_eigh([[bad]])
-
-
-def test_jacobi_raises_when_sweeps_run_out():
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((12, 12))
-    a = 0.5 * (a + a.T)
-    with pytest.raises(specfun.ConvergenceError):
-        exact.jacobi_eigh(a, max_sweeps=1)
-    # the same matrix converges well inside the default sweep budget
-    assert np.max(np.abs(np.sort(exact.jacobi_eigh(a)[0]) - np.linalg.eigvalsh(a))) < 1e-12
-
-
-# ---------------------------------------------------------------------------
 # spectrum
 # ---------------------------------------------------------------------------
 
@@ -251,8 +203,7 @@ _ORACLE_CASES = [
     ("sine", Interval(-3.0, 3.0), 384, 1e-10),
     ("airy", Interval(-2.0, 0.0), 384, 1e-10),   # indefinite Gram: min eigenvalue -3.7e-12
     ("bessel:s=0.5", Interval(0.5, 4.0), 384, 1e-10),
-    # the split at 1e-8 has a gap of 3.2e-8 here, and a full cyclic Jacobi
-    # solve of this matrix differs from eigh's projector by 1.6e-10 as well
+    # the split at 1e-8 has a gap of 3.2e-8 here: the projectors differ by 1.4e-10
     ("sine", Interval(0.0, 20.0), 512, 2e-10),
 ]
 
@@ -299,13 +250,13 @@ def test_spectrum_matches_eigensystem_values():
 
 def test_eigensolve_is_low_rank(monkeypatch):
     orders = []
-    solve = exact.jacobi_eigh
+    solve = np.linalg.eigh
 
     def spy(a, *args, **kwargs):
         orders.append(np.shape(a)[0])
         return solve(a, *args, **kwargs)
 
-    monkeypatch.setattr(exact, "jacobi_eigh", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     d = exact.discretize(SINE, Interval(-3.0, 3.0), 384)
     exact.spectrum(d)
     exact.eigensystem(d)
@@ -348,7 +299,7 @@ def test_zero_matrix_solves_to_rank_zero():
 
 
 def test_eigensystem_columns_belong_to_the_leading_eigenvalues():
-    # the Ritz pairs of this solve come out of order (the second and third swap)
+    # eigh returns the Ritz pairs ascending, so the sort reverses the columns
     d = exact.discretize(kernels.make_kernel("airy"), Interval(-6.0, 0.0), 128)
     s, vectors = exact.eigensystem(d)
     lams = s.eigenvalues[:s.rank]
@@ -359,6 +310,20 @@ def test_eigensystem_columns_belong_to_the_leading_eigenvalues():
 def test_eigensolve_rejects_non_finite_matrix():
     with pytest.raises(ValueError):
         exact.spectrum(_bare([[0.5, math.nan], [math.nan, 0.5]]))
+
+
+def test_eigh_failure_is_a_convergence_error(monkeypatch, tmp_path, capsys):
+    # LinAlgError is a ValueError, which the CLI would report as bad input
+    def fail(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(specfun.ConvergenceError, match="did not converge"):
+        exact.spectrum(exact.discretize(SINE, Interval(-1.0, 1.0), 32))
+    rc = cli.main(["exact", "--kernel", "sine", "--window=-1,1", "--order", "32",
+                   "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_NUMERICAL == 3
+    assert "numerical failure: eigh of the" in capsys.readouterr().err
 
 
 # solves at the orders of the benchmark workloads (128 to 384)
@@ -392,7 +357,9 @@ def test_eigensystem_bits_do_not_depend_on_blas_threads():
     # one BLAS thread against two: eigenvalues, mass, rank and the n x r
     # vector block agree bit for bit.  Both counts are set, since importing
     # dpptails.cli in this process may have set one for every child.
-    systems = SOLVE_SYSTEMS[:3]
+    # sine [0, 20] has rank 33, past the size where LAPACK's eigh switches
+    # to divide and conquer and OpenBLAS wakes a second thread
+    systems = SOLVE_SYSTEMS[:3] + [("sine", 0.0, 20.0, 512)]
     one = _eigensystem_bits(systems, {"OPENBLAS_NUM_THREADS": "1"})
     two = _eigensystem_bits(systems, {"OPENBLAS_NUM_THREADS": "2"})
     for system, a, b in zip(systems, one, two):

@@ -10,7 +10,7 @@ afterwards.  Then prints the digest of the bytes of `exact.discretize(...)
 montecarlo system (sine [-3, 3] at order 128): the job outputs hash
 eigenvalues and draws, not the Nystrom matrices.  Run it once against each
 of two source trees and diff the outputs to check that a change keeps the
-output bytes.
+output bytes; `tools/output_drift.py` says how far they moved.
 """
 
 import contextlib
@@ -21,9 +21,44 @@ import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+NAMES = ("certify", "spectra", "montecarlo")
 # (kernel, window, orders) of the Nystrom matrices whose bytes are hashed
 MATRICES = [("sine", (-3.0, 3.0), (192, 384, 1024)), ("airy", (-2.0, 0.0), (192, 384, 1024)),
             ("bessel:s=0.5", (0.5, 4.0), (192, 384, 1024)), ("sine", (-3.0, 3.0), (128,))]
+
+
+def run_jobs(src, seed, dest):
+    """Run the full job list of each workload in NAMES at `seed` with
+    `dpptails` imported from `src`: workload NAME runs in dest/NAME and
+    leaves its outputs in dest/NAME/out.  Returns the number of jobs that
+    failed, or None if `dpptails` was imported from elsewhere."""
+    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
+    from dpptails import cli
+    from workloads import WORKLOADS
+
+    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
+        print(f"dpptails imported from {cli.__file__}, not {src}", file=sys.stderr)
+        return None
+    failed = 0
+    cwd = os.getcwd()
+    for name in NAMES:
+        workload = WORKLOADS[name]
+        work = os.path.join(dest, name)
+        os.makedirs(os.path.join(work, "out"))
+        for fname, content in workload.files.items():
+            with open(os.path.join(work, fname), "w") as fh:
+                json.dump(content, fh)
+        os.chdir(work)
+        try:
+            for job_id, job_argv in workload.jobs(seed, "full"):
+                with contextlib.redirect_stdout(sys.stderr):
+                    rc = cli.main(job_argv)
+                if rc != 0:
+                    failed += 1
+                    print(f"{name}/{job_id}: exit {rc}", file=sys.stderr)
+        finally:
+            os.chdir(cwd)
+    return failed
 
 
 def main(argv=None):
@@ -32,35 +67,18 @@ def main(argv=None):
         print(__doc__.strip().splitlines()[2], file=sys.stderr)
         return 2
     src, seed = os.path.abspath(argv[0]), int(argv[1])
-    sys.path[:0] = [src, os.path.join(ROOT, "perfbench")]
-    from dpptails import cli, exact, kernels
-    from workloads import WORKLOADS
-
-    if not os.path.abspath(cli.__file__).startswith(src + os.sep):
-        print(f"dpptails imported from {cli.__file__}, not {src}", file=sys.stderr)
-        return 2
-
-    failed = 0
     with tempfile.TemporaryDirectory() as tmp:
-        for name in ("certify", "spectra", "montecarlo"):
-            workload = WORKLOADS[name]
-            work = os.path.join(tmp, name)
-            os.makedirs(os.path.join(work, "out"))
-            for fname, content in workload.files.items():
-                with open(os.path.join(work, fname), "w") as fh:
-                    json.dump(content, fh)
-            os.chdir(work)
-            for job_id, job_argv in workload.jobs(seed, "full"):
-                with contextlib.redirect_stdout(sys.stderr):
-                    rc = cli.main(job_argv)
-                if rc != 0:
-                    failed += 1
-                    print(f"{name}/{job_id}: exit {rc}", file=sys.stderr)
-            os.chdir(tmp)
-            for fname in sorted(os.listdir(os.path.join(work, "out"))):
-                with open(os.path.join(work, "out", fname), "rb") as fh:
+        failed = run_jobs(src, seed, tmp)
+        if failed is None:
+            return 2
+        for name in NAMES:
+            out = os.path.join(tmp, name, "out")
+            for fname in sorted(os.listdir(out)):
+                with open(os.path.join(out, fname), "rb") as fh:
                     digest = hashlib.sha256(fh.read()).hexdigest()
                 print(f"{digest}  {name}/{fname}")
+    from dpptails import exact, kernels
+
     for kid, (a, b), orders in MATRICES:
         for order in orders:
             d = exact.discretize(kernels.make_kernel(kid), kernels.Interval(a, b), order)
